@@ -20,7 +20,6 @@ import sys
 
 from . import __version__
 from .increments import increment_scan
-from .multiindex import labels
 from .operators import box_coeff_tensor, spec_for, top_coeff_tensor
 from .symbol import box_symbol, ellipticity_scan
 
@@ -197,6 +196,8 @@ def _cmd_ineq(args) -> int:
     if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
     else:
         config = default_config()
     if args.seed is not None:

@@ -21,7 +21,6 @@ Conventions fixed here and used throughout:
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +28,6 @@ import numpy as np
 from .gridfield import GridField, grid_points
 from .multiindex import (
     complement,
-    epsilon,
     labels,
     multiindices,
     perm_sign_between,
@@ -39,7 +37,6 @@ from .trigpoly import TrigPoly
 __all__ = [
     "Form",
     "zero_form",
-    "form_from_coeffs",
     "partial",
     "hodge_star",
     "wedge",
@@ -191,10 +188,6 @@ def zero_form(n, N, q, backend="trig", P=None) -> Form:
         lab = labels(N, q)[0]
         return Form(n, N, q, {lab: GridField.zero(n, P)}, backend="grid")
     return f
-
-
-def form_from_coeffs(n, N, q, coeffs) -> Form:
-    return Form(n, N, q, coeffs)
 
 
 # ---- calculus ---------------------------------------------------------------

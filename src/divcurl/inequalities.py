@@ -552,20 +552,45 @@ _REQUIRED_KEYS = {
 }
 
 
-def run_suite(config: dict) -> dict:
-    """Run the configured probe battery; deterministic for a fixed config."""
-    seed = config.get("seed", 0)
-    results = []
-    for i, entry in enumerate(config.get("probes", [])):
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_config(config) -> None:
+    """Reject a malformed probe configuration with a ValueError naming the
+    offending probe, before any probe runs."""
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object, got "
+                         f"{type(config).__name__}")
+    if not _is_int(config.get("seed", 0)):
+        raise ValueError("config: seed must be an integer")
+    probes = config.get("probes", [])
+    if not isinstance(probes, list):
+        raise ValueError("config: probes must be a list")
+    for i, entry in enumerate(probes):
+        if not isinstance(entry, dict):
+            raise ValueError(f"probe {i}: entry must be a JSON object")
         kind = entry.get("kind")
-        if kind not in _PROBES:
+        if not isinstance(kind, str) or kind not in _PROBES:
             raise ValueError(f"unknown probe kind {kind!r}")
         missing = [key for key in _REQUIRED_KEYS[kind] if key not in entry]
         if missing:
             raise ValueError(f"probe {i} ({kind}): missing required "
                              f"keys {missing}")
+        trials = entry.get("trials", 1)
+        if not _is_int(trials) or trials < 1:
+            raise ValueError(f"probe {i} ({kind}): trials must be a "
+                             "positive integer")
+
+
+def run_suite(config: dict) -> dict:
+    """Run the configured probe battery; deterministic for a fixed config."""
+    _check_config(config)
+    seed = config.get("seed", 0)
+    results = []
+    for i, entry in enumerate(config.get("probes", [])):
         rng = random.Random(seed * 10007 + i)
-        results.append(_PROBES[kind](entry, rng))
+        results.append(_PROBES[entry["kind"]](entry, rng))
     return {
         "schema": "divcurl.report/1",
         "package_version": __version__,

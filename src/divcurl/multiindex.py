@@ -86,17 +86,23 @@ def perm_sign_between(src, dst) -> int:
     dst = tuple(dst)
     if len(src) != len(dst):
         return 0
-    if len(set(src)) != len(src) or set(src) != set(dst):
+    try:
+        image = [dst.index(v) for v in src]
+    except ValueError:
         return 0
-    pos = {v: i for i, v in enumerate(dst)}
-    image = [pos[v] for v in src]
-    # parity by inversion count; sizes here are tiny so O(m^2) is fine
-    inversions = 0
+    # Sort image in place by transpositions, each of which flips the sign.
+    # image is a permutation unless two entries of src share a position of
+    # dst; then some position is asked to take a value it already holds.
+    sign = 1
     for i in range(len(image)):
-        for j in range(i + 1, len(image)):
-            if image[i] > image[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+        j = image[i]
+        while j != i:
+            if image[j] == j:
+                return 0
+            image[i], image[j] = image[j], j
+            sign = -sign
+            j = image[i]
+    return sign
 
 
 def epsilon(prefix, body, target) -> int:

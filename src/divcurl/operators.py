@@ -29,25 +29,21 @@ blocks.  Both are exposed so they can be cross-checked exactly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .forms import Form, lp_norm, partial, pullback_linear, hodge_star, zero_form
-from .gridfield import GridField, grid_points, _deriv_multiplier
+from .forms import Form, lp_norm, pullback_linear, hodge_star, zero_form
+from .gridfield import GridField, _deriv_multiplier
 from .increments import binom
 from .multiindex import (
     Ordering,
-    epsilon,
     labels,
     make_ordering,
     multiindices,
     perm_sign_between,
 )
-from .trigpoly import TrigPoly
 
 __all__ = [
     "OperatorSpec",
@@ -492,27 +488,32 @@ def _tensor_by_summation(spec: OperatorSpec, q: int, top: bool) -> dict:
         else:
             entries[key] = newval
 
+    # For a connecting label L (or K), the label and sign each block a
+    # contributes depend on a alone, so they are computed once per block
+    # and reused by every (alpha, beta) pair.
     if q + spec.ell <= width:
         for L in labels(width, q + spec.ell):
             setL = set(L)
-            inside = [(alpha, a) for alpha, a in pairs if set(a) <= setL]
-            for alpha, a in inside:
-                I = tuple(t for t in L if t not in set(a))
-                s1 = perm_sign_between(a + I, L)
-                for beta, b in inside:
-                    M = tuple(t for t in L if t not in set(b))
-                    s2 = perm_sign_between(b + M, L)
+            inside = []
+            for alpha, a in pairs:
+                set_a = set(a)
+                if set_a <= setL:
+                    rest = tuple(t for t in L if t not in set_a)
+                    inside.append((alpha, rest, perm_sign_between(a + rest, L)))
+            for alpha, I, s1 in inside:
+                for beta, M, s2 in inside:
                     put((M, I, alpha, beta), s1 * s2)
     if q - spec.ell >= 0:
         for K in labels(width, q - spec.ell):
             setK = set(K)
-            outside = [(alpha, a) for alpha, a in pairs if not (set(a) & setK)]
-            for alpha, a in outside:
-                M = tuple(sorted(a + K))
-                s1 = perm_sign_between(a + K, M)
-                for beta, b in outside:
-                    I = tuple(sorted(b + K))
-                    s2 = perm_sign_between(b + K, I)
+            outside = []
+            for alpha, a in pairs:
+                if not (set(a) & setK):
+                    joined = tuple(sorted(a + K))
+                    outside.append((alpha, joined,
+                                    perm_sign_between(a + K, joined)))
+            for alpha, M, s1 in outside:
+                for beta, I, s2 in outside:
                     put((M, I, alpha, beta), s1 * s2)
     return entries
 
@@ -594,18 +595,18 @@ def box_coeff_closed_form(spec: OperatorSpec, q: int, top: bool = False) -> Coef
     """Full tensor rebuilt from coeff_entry_closed_form on the candidate
     support (all (M, I, alpha, beta) that either part could touch)."""
     width = spec.n if top else spec.N
-    pairs = _image_alphas(spec, top)
+    pairs = [(alpha, a, set(a)) for alpha, a in _image_alphas(spec, top)]
     entries = {}
     for I in labels(width, q):
         setI = set(I)
-        for alpha, a in pairs:
-            for beta, b in pairs:
+        for alpha, a, set_a in pairs:
+            for beta, b, set_b in pairs:
                 cands = set()
-                if not (set(a) & setI) and set(b) <= set(a) | setI:
-                    cands.add(tuple(t for t in sorted(a + I) if t not in set(b)))
-                if set(b) <= setI:
-                    K = tuple(t for t in I if t not in set(b))
-                    if not (set(a) & set(K)):
+                if not (set_a & setI) and set_b <= set_a | setI:
+                    cands.add(tuple(t for t in sorted(a + I) if t not in set_b))
+                if set_b <= setI:
+                    K = tuple(t for t in I if t not in set_b)
+                    if not (set_a & set(K)):
                         cands.add(tuple(sorted(a + K)))
                 for M in cands:
                     val = coeff_entry_closed_form(spec, q, M, I, alpha, beta, top)

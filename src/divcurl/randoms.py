@@ -5,8 +5,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from .forms import Form
 from .multiindex import labels
 from .trigpoly import COS, SIN, TrigPoly
@@ -15,8 +13,6 @@ __all__ = [
     "random_rational",
     "random_trigpoly",
     "random_trig_form",
-    "random_rotation",
-    "random_signed_permutation",
 ]
 
 
@@ -47,25 +43,3 @@ def random_trig_form(rng: random.Random, n, N, q, components=3,
         if not poly.is_zero():
             coeffs[lab] = poly
     return Form(n, N, q, coeffs, backend="trig")
-
-
-def random_rotation(rng: np.random.Generator, n) -> np.ndarray:
-    """Haar-ish random element of SO(n) via QR with sign fixing."""
-    M = rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(M)
-    Q = Q * np.sign(np.diag(R))
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] = -Q[:, 0]
-    return Q
-
-
-def random_signed_permutation(rng: random.Random, n) -> np.ndarray:
-    perm = list(range(n))
-    rng.shuffle(perm)
-    A = np.zeros((n, n))
-    for i, j in enumerate(perm):
-        A[i, j] = rng.choice((-1.0, 1.0))
-    # keep it a rotation (det +1) so it composes with the rotation probes
-    if np.linalg.det(A) < 0:
-        A[0, :] = -A[0, :]
-    return A

@@ -21,7 +21,6 @@ points on the sphere come from the stereographic parametrization.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -152,6 +151,8 @@ def ellipticity_scan(spec, q, source=False, samples=40, seed=0) -> dict:
     proves degeneracy when it finds one; it only suggests ellipticity
     otherwise).
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     n = spec.n
     dirs = []

@@ -59,6 +59,20 @@ class TrigPoly:
                 clean[key] = coeff
         self.terms = clean
 
+    @classmethod
+    def _canonical(cls, n, terms):
+        """Wrap a terms dict that is already canonical, without checking.
+
+        The caller guarantees the invariant the public constructor
+        establishes: every coefficient is a nonzero Fraction, the first
+        nonzero entry of every frequency is positive, and no SIN term sits
+        at the zero frequency.  The dict is stored, not copied.
+        """
+        self = object.__new__(cls)
+        self.n = n
+        self.terms = terms
+        return self
+
     # ---- constructors -------------------------------------------------
 
     @classmethod
@@ -75,25 +89,39 @@ class TrigPoly:
 
     # ---- ring operations ----------------------------------------------
 
-    def __add__(self, other):
+    def _merge(self, other, negate):
         if not isinstance(other, TrigPoly):
             return NotImplemented
         if other.n != self.n:
             raise ValueError("dimension mismatch")
         merged = dict(self.terms)
         for key, c in other.terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + c
-        return TrigPoly(self.n, merged)
+            if negate:
+                c = -c
+            total = merged.get(key)
+            total = c if total is None else total + c
+            if total:
+                merged[key] = total
+            else:
+                del merged[key]
+        return TrigPoly._canonical(self.n, merged)
 
-    def __neg__(self):
-        return TrigPoly(self.n, {k: -c for k, c in self.terms.items()})
+    def __add__(self, other):
+        return self._merge(other, False)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._merge(other, True)
+
+    def __neg__(self):
+        return TrigPoly._canonical(
+            self.n, {k: -c for k, c in self.terms.items()})
 
     def scale(self, factor):
         factor = Fraction(factor)
-        return TrigPoly(self.n, {k: c * factor for k, c in self.terms.items()})
+        if not factor:
+            return TrigPoly._canonical(self.n, {})
+        return TrigPoly._canonical(
+            self.n, {k: c * factor for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, TrigPoly):
@@ -141,26 +169,41 @@ class TrigPoly:
             if w == 0:
                 continue
             if phase == COS:
-                key = (freq, SIN)
-                out[key] = out.get(key, Fraction(0)) - coeff * w
+                out[(freq, SIN)] = -coeff * w
             else:
-                key = (freq, COS)
-                out[key] = out.get(key, Fraction(0)) + coeff * w
-        return TrigPoly(self.n, out)
+                out[(freq, COS)] = coeff * w
+        return TrigPoly._canonical(self.n, out)
 
     def diff_alpha(self, alpha) -> "TrigPoly":
         """Mixed partial of multi-index alpha (length n, or longer with
-        zeros in the extra slots)."""
+        zeros in the extra slots), in one pass over the terms.
+
+        Each term is multiplied by the integer monomial w^alpha of its
+        frequency w and turned |alpha| quarter turns, one per derivative:
+        cos -> -sin -> -cos -> sin -> cos, and sin -> cos -> -sin -> -cos
+        -> sin.  A term whose monomial is 0 is dropped.  The turn keeps
+        the frequency and maps distinct terms to distinct terms, so the
+        result is canonical without re-normalization.
+        """
         alpha = tuple(alpha)
         if len(alpha) > self.n:
             if any(alpha[self.n:]):
                 raise ValueError("derivative slot beyond the variable count")
             alpha = alpha[: self.n]
-        cur = self
-        for axis, order in enumerate(alpha):
-            for _ in range(order):
-                cur = cur.diff(axis)
-        return cur
+        powers = [(axis, order) for axis, order in enumerate(alpha) if order]
+        if not powers:
+            return self
+        turns = sum(order for _, order in powers) % 4
+        flip = turns % 2
+        sign = ((1, -1, -1, 1)[turns], (1, 1, -1, -1)[turns])  # by phase
+        out = {}
+        for (freq, phase), coeff in self.terms.items():
+            mono = 1
+            for axis, order in powers:
+                mono *= freq[axis] ** order
+            if mono:
+                out[(freq, phase ^ flip)] = coeff * (sign[phase] * mono)
+        return TrigPoly._canonical(self.n, out)
 
     def mean(self) -> Fraction:
         """Mean value over the torus with normalized measure (2pi)^-n."""

@@ -16,12 +16,11 @@ from dataclasses import dataclass, asdict
 
 from . import __version__
 from .forms import Form, inner_product, hodge_star
-from .multiindex import labels, multiindices
+from .multiindex import labels
 from .operators import (
     OperatorSpec,
     apply_T,
     apply_T_star,
-    apply_T_star_coordinate,
     apply_Top,
     apply_Top_star,
     box_apply,

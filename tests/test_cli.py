@@ -1,5 +1,6 @@
 """Command line behavior: exact payloads, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -86,6 +87,24 @@ def test_verify_passes_and_is_byte_identical(capsys):
     assert obj["all_passed"] is True
 
 
+# sha256 of stdout recorded before the exact backend got its one-pass
+# derivative and its trusted constructor; the canonical JSON must not
+# change unless the schema or the package version does.
+GOLDEN_SHA256 = {
+    ("verify", "--deep", "--seed", "0"):
+        "48df54bd8aacbba832b427cc0c977847b1c57d0cd7adcae05a97612d2ce9b2b3",
+    ("laplacian", "3", "2", "1", "--q", "2"):
+        "83ef581ed641e24ab41e05fadd56d00fbc9f991fe9cfe03c61eb6096dc4e7790",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256), ids="-".join)
+def test_output_matches_golden_hash(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[argv]
+
+
 def test_verify_scope_filters_records(capsys):
     code, out = run_cli(capsys, "verify", "--cases", "2,2,1,diagonal",
                         "--scope", "symbol")
@@ -159,3 +178,38 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("config, message", [
+    ([{"kind": "classical_gn", "n": 2}], "config must be a JSON object"),
+    ({"probes": {"kind": "classical_gn", "n": 2}},
+     "config: probes must be a list"),
+    ({"probes": [["classical_gn", 2]]}, "probe 0: entry must be a JSON object"),
+    ({"probes": [{"kind": "classical_gn", "n": 2, "trials": 0}]},
+     "probe 0 (classical_gn): trials must be a positive integer"),
+    ({"probes": [{"kind": "classical_gn", "n": 2},
+                 {"kind": "classical_gn", "n": 2, "trials": "3"}]},
+     "probe 1 (classical_gn): trials must be a positive integer"),
+    ({"seed": "4", "probes": []}, "config: seed must be an integer"),
+])
+def test_ineq_malformed_config_is_a_one_line_error(capsys, tmp_path, config,
+                                                   message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = main(["ineq", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("divcurl: error: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_symbol_scan_rejects_samples_below_one(capsys, samples):
+    code = main(["symbol", "2", "1", "1", "--samples", samples])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("divcurl: error: samples must be at least 1, "
+                            f"got {samples}\n")

@@ -89,6 +89,44 @@ def test_perm_sign_degenerate_inputs():
     assert perm_sign_between((2, 1), (1, 2)) == -1
 
 
+def inversion_sign(src, dst):
+    """Reference sign: 0 unless dst rearranges the distinct entries of
+    src, else the parity of the inversions of src's positions in dst."""
+    if (len(src) != len(dst) or len(set(src)) != len(src)
+            or sorted(src) != sorted(dst)):
+        return 0
+    image = [dst.index(v) for v in src]
+    inv = sum(image[i] > image[j] for i in range(len(image))
+              for j in range(i + 1, len(image)))
+    return -1 if inv % 2 else 1
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_perm_sign_on_every_permutation(m):
+    values = tuple(random.Random(m).sample(range(-3, 12), m))
+    for perm in itertools.permutations(values):
+        assert perm_sign_between(values, perm) == inversion_sign(values, perm)
+        assert perm_sign_between(perm, values) == inversion_sign(perm, values)
+        assert perm_sign_between(perm, sorted(values)) == \
+            inversion_sign(perm, sorted(values))
+
+
+def test_perm_sign_repeats_and_mismatches():
+    """Every pair of tuples over {1..4} of length <= 3: repeats in either
+    tuple, set mismatches and length mismatches all give 0."""
+    tuples = [t for m in range(4)
+              for t in itertools.product(range(1, 5), repeat=m)]
+    zeros = 0
+    for src in tuples:
+        for dst in tuples:
+            sign = perm_sign_between(src, dst)
+            assert sign == inversion_sign(src, dst), (src, dst)
+            zeros += sign == 0
+    assert zeros > len(tuples) ** 2 // 2
+    assert perm_sign_between((1, 2), (2, 1, 3)) == 0
+    assert perm_sign_between((1, 2, 3), (1, 2)) == 0
+
+
 def test_epsilon_antisymmetry_and_examples():
     # epsilon(prefix, body, target) = sign of (prefix + body -> target)
     assert epsilon((1,), (2, 3), (1, 2, 3)) == 1

@@ -1,11 +1,14 @@
 """Exact trigonometric polynomial ring: algebra, calculus, sampling."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divcurl.trigpoly import COS, SIN, TrigPoly
 from divcurl.randoms import random_trigpoly
@@ -107,3 +110,123 @@ def test_serialization_roundtrip():
     for _ in range(10):
         f = random_trigpoly(rng, 3)
         assert TrigPoly.from_obj(f.to_obj()) == f
+
+
+# ---- hot-path equivalence: one-pass diff_alpha, trusted constructor -------
+
+FIXED = settings(derandomize=True, database=None, deadline=None,
+                 max_examples=150)
+coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def trigpolys(draw, n):
+    waves = draw(st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * n),
+                                    st.sampled_from((COS, SIN)),
+                                    coefficients),
+                          max_size=5))
+    return TrigPoly(n, {(freq, phase): c for freq, phase, c in waves})
+
+
+@st.composite
+def poly_pairs(draw):
+    n = draw(st.integers(1, 4))
+    return draw(trigpolys(n)), draw(trigpolys(n))
+
+
+@st.composite
+def multiindices_up_to(draw, n, order):
+    alpha = []
+    for _ in range(n):
+        alpha.append(draw(st.integers(0, order - sum(alpha))))
+    return tuple(alpha)
+
+
+@st.composite
+def poly_and_alpha(draw):
+    n = draw(st.integers(1, 4))
+    return draw(trigpolys(n)), draw(multiindices_up_to(n, 8))
+
+
+def assert_canonical(p):
+    """The invariant the public constructor establishes, and the terms
+    it would rebuild from p's own terms, in the same order."""
+    for (freq, phase), c in p.terms.items():
+        assert len(freq) == p.n
+        assert type(c) is Fraction and c != 0
+        lead = next((f for f in freq if f), 0)
+        assert lead > 0 or phase == COS
+    rebuilt = TrigPoly(p.n, p.terms)
+    assert list(rebuilt.terms.items()) == list(p.terms.items())
+
+
+def iterated_diff(p, alpha):
+    for axis, order in enumerate(alpha):
+        for _ in range(order):
+            p = p.diff(axis)
+    return p
+
+
+def merge_reference(f, g, sign):
+    """f + sign * g through the canonicalizing public constructor."""
+    merged = dict(f.terms)
+    for key, c in g.terms.items():
+        merged[key] = merged.get(key, 0) + sign * c
+    return TrigPoly(f.n, merged)
+
+
+@FIXED
+@given(poly_and_alpha(), st.integers(0, 2))
+def test_diff_alpha_equals_iterated_diff(case, extra):
+    f, alpha = case
+    want = iterated_diff(f, alpha)
+    for padded in (alpha, alpha + (0,) * extra):
+        got = f.diff_alpha(padded)
+        assert_canonical(got)
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+@FIXED
+@given(poly_and_alpha(), st.integers(0, 2), st.integers(1, 3))
+def test_diff_alpha_rejects_nonzero_tail(case, gap, order):
+    f, alpha = case
+    with pytest.raises(ValueError):
+        f.diff_alpha(alpha + (0,) * gap + (order,))
+
+
+@st.composite
+def leibniz_cases(draw):
+    n = draw(st.integers(1, 3))
+    return (draw(trigpolys(n)), draw(trigpolys(n)),
+            draw(multiindices_up_to(n, 3)))
+
+
+@settings(FIXED, max_examples=60)
+@given(leibniz_cases())
+def test_leibniz_rule(case):
+    """d^alpha (f g) = sum over beta <= alpha of
+    binom(alpha, beta) d^beta f d^(alpha - beta) g."""
+    f, g, alpha = case
+    rhs = TrigPoly.zero(f.n)
+    for beta in itertools.product(*(range(a + 1) for a in alpha)):
+        weight = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
+        rest = tuple(a - b for a, b in zip(alpha, beta))
+        rhs = rhs + (f.diff_alpha(beta) * g.diff_alpha(rest)).scale(weight)
+    assert (f * g).diff_alpha(alpha) == rhs
+
+
+@FIXED
+@given(poly_pairs(), coefficients)
+def test_ring_results_are_canonical(pair, factor):
+    f, g = pair
+    for got, want in [
+        (f + g, merge_reference(f, g, 1)),
+        (f - g, merge_reference(f, g, -1)),
+        (-f, TrigPoly(f.n, {k: -c for k, c in f.terms.items()})),
+        (f.scale(factor),
+         TrigPoly(f.n, {k: c * factor for k, c in f.terms.items()})),
+        (f.scale(0), TrigPoly.zero(f.n)),
+        (f - f, TrigPoly.zero(f.n)),
+    ]:
+        assert_canonical(got)
+        assert list(got.terms.items()) == list(want.terms.items())
