@@ -46,10 +46,7 @@ from .operators import (
     OperatorSpec,
     apply_T,
     apply_T_star_coordinate,
-    _apply_T_or_zero,
-    _apply_T_star_or_zero,
-    _apply_Top_or_zero,
-    _apply_Top_star_or_zero,
+    _apply,
     spec_for,
 )
 
@@ -202,8 +199,8 @@ def gn_ratio(spec: OperatorSpec, u: Form, assume=None, allow_excluded=False,
     n, q = spec.n, u.q
     if q in (1, n - 1) and assume is None and not allow_excluded:
         raise ValueError(EXCLUDED_NOTE)
-    Tu = _apply_Top_or_zero(spec, u)
-    Tsu = _apply_Top_star_or_zero(spec, u)
+    Tu = _apply(spec, u, top=True, adjoint=False)
+    Tsu = _apply(spec, u, top=True, adjoint=True)
     scale = lp_norm(u, 1)
     if assume == "closed" and lp_norm(Tu, 1) > side_tol * max(scale, 1e-30):
         raise ValueError("input is not closed to the requested tolerance")
@@ -225,7 +222,7 @@ def make_closed_source(spec: OperatorSpec, q, rng, P, components=2,
         raise ValueError("no closed range forms below degree ell")
     phi, _ = random_bump_form(rng, spec.n, spec.n, q - spec.ell, P,
                               components=components, sigma_range=sigma_range)
-    u = _apply_Top_or_zero(spec, phi)
+    u = _apply(spec, phi, top=True, adjoint=False)
     if u.is_zero():
         raise ValueError("probe collapsed to zero; retry with another seed")
     return u
@@ -240,7 +237,7 @@ def make_coclosed_source(spec: OperatorSpec, q, rng, P, components=2,
         raise ValueError("no coclosed range forms above degree n - ell")
     psi, _ = random_bump_form(rng, spec.n, spec.n, q + spec.ell, P,
                               components=components, sigma_range=sigma_range)
-    u = _apply_Top_star_or_zero(spec, psi)
+    u = _apply(spec, psi, top=True, adjoint=True)
     if u.is_zero():
         raise ValueError("probe collapsed to zero; retry with another seed")
     return u
@@ -311,7 +308,7 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
         if (F.n, F.N, F.q) != (n, N, q + 1):
             raise ValueError("F must be a hybrid (q+1)-form")
         scaleF = max(lp_norm(F, 2), 1e-30)
-        TF = _apply_T_or_zero(spec, F)
+        TF = _apply(spec, F, top=False, adjoint=False)
         info["closedness_F"] = lp_norm(TF, 2) / scaleF
         if info["closedness_F"] > closed_tol:
             raise ValueError("F is not closed to the requested tolerance")
@@ -324,7 +321,7 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
         if (G.n, G.N, G.q) != (n, N, q - 1):
             raise ValueError("G must be a hybrid (q-1)-form")
         scaleG = max(lp_norm(G, 2), 1e-30)
-        TsG = _apply_T_star_or_zero(spec, G)
+        TsG = _apply(spec, G, top=False, adjoint=True)
         info["coclosedness_G"] = lp_norm(TsG, 2) / scaleG
         if info["coclosedness_G"] > closed_tol:
             raise ValueError("G is not coclosed to the requested tolerance")
@@ -355,9 +352,9 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
          else zero_form(n, N, q, backend="grid", P=P))
 
     if F is not None:
-        info["residual_T"] = lp_norm(_apply_T_or_zero(spec, Z) - F, 2)
+        info["residual_T"] = lp_norm(_apply(spec, Z, top=False, adjoint=False) - F, 2)
     if G is not None:
-        info["residual_Tstar"] = lp_norm(_apply_T_star_or_zero(spec, Z) - G, 2)
+        info["residual_Tstar"] = lp_norm(_apply(spec, Z, top=False, adjoint=True) - G, 2)
     return Z, info
 
 
@@ -528,7 +525,7 @@ def _probe_hodge(entry, rng) -> dict:
                     kind=entry.get("ordering", "lexicographic"))
     q, P = entry["q"], entry.get("P", 32)
     phi, _ = random_bump_form(rng, spec.n, spec.N, q, P, components=2)
-    F = _apply_T_or_zero(spec, phi)
+    F = _apply(spec, phi, top=False, adjoint=False)
     Z, info = hodge_solve(spec, q, F=F)
     return {"kind": "hodge", "q": q, "P": P,
             "residual_T": info["residual_T"],

@@ -25,6 +25,17 @@ integer coefficient tensor; box_coeff_tensor builds it by direct
 summation over connecting labels and box_coeff_closed_form builds it
 entry by entry from the overlap decomposition of the two derivative
 blocks.  Both are exposed so they can be cross-checked exactly.
+
+Every action runs through one table path: _apply picks the raising
+table _t_table or the coordinate-adjoint table _tstar_table over labels
+in {1..N} or {1..n}, holds the single degree guard, and hands the table
+to _apply_table, which evaluates (I, alpha, OUT, sign) entries on either
+backend.  apply_T, apply_Top, their coordinate adjoints, both
+Laplacians, CoeffTensor.contract and tt_single_orientation all end
+there.  The cross-check routes stay separate on purpose: the
+star-conjugate adjoint against _tstar_table (which is built directly,
+not by transposing _t_table), the summation tensor against the closed
+form, and label pairing against wedge pairing.
 """
 
 from __future__ import annotations
@@ -119,6 +130,11 @@ def spec_for(n, k, ell, kind="lexicographic", table=None) -> OperatorSpec:
 # ---- coupling tables -------------------------------------------------------
 
 
+def _width(spec: OperatorSpec, top: bool) -> int:
+    """Label range of the hybrid (N) or source (n) space."""
+    return spec.n if top else spec.N
+
+
 @lru_cache(maxsize=None)
 def _t_table(spec: OperatorSpec, q: int, top: bool):
     """Entries (I, alpha, L, sign) of the degree-raising action at degree q.
@@ -126,14 +142,11 @@ def _t_table(spec: OperatorSpec, q: int, top: bool):
     With top=True all labels are constrained to {1..n} (the source-space
     operator); otherwise they run over {1..N}.
     """
-    width = spec.n if top else spec.N
+    pairs = _image_alphas(spec, top)
     entries = []
-    for I in labels(width, q):
+    for I in labels(_width(spec, top), q):
         setI = set(I)
-        for alpha in multiindices(spec.n, spec.k):
-            a = spec.ordering.label_of(alpha)
-            if top and any(t > spec.n for t in a):
-                continue
+        for alpha, a in pairs:
             if setI & set(a):
                 continue
             L = tuple(sorted(a + I))
@@ -145,25 +158,21 @@ def _t_table(spec: OperatorSpec, q: int, top: bool):
 def _tstar_table(spec: OperatorSpec, q: int, top: bool):
     """Entries (I, beta, V, sign) of the coordinate adjoint at degree q:
     V of degree q - ell collects epsilon^{ordering(beta) V}_I terms."""
-    width = spec.n if top else spec.N
+    pairs = _image_alphas(spec, top)
     entries = []
-    for V in labels(width, q - spec.ell):
+    for V in labels(_width(spec, top), q - spec.ell):
         setV = set(V)
-        for beta in multiindices(spec.n, spec.k):
-            b = spec.ordering.label_of(beta)
-            if top and any(t > spec.n for t in b):
-                continue
+        for beta, b in pairs:
             if setV & set(b):
                 continue
             I = tuple(sorted(b + V))
-            if max(I, default=0) > width:
-                continue
             entries.append((I, beta, V, perm_sign_between(b + V, I)))
     return tuple(entries)
 
 
 def _apply_table(F: Form, entries, out_q: int, width: int, overall=1) -> Form:
-    """Evaluate sum sign * d^alpha F_I on each output label of a table."""
+    """Evaluate sum sign * overall * d^alpha F_I on each output label of a
+    table of (I, alpha, OUT, sign) entries."""
     if F.backend == "grid":
         return _apply_table_grid(F, entries, out_q, width, overall)
     acc = {}
@@ -171,8 +180,15 @@ def _apply_table(F: Form, entries, out_q: int, width: int, overall=1) -> Form:
         c = F.coeffs.get(I)
         if c is None:
             continue
-        term = c.diff_alpha(alpha).scale(sign * overall)
-        acc[OUT] = acc[OUT] + term if OUT in acc else term
+        term = c.diff_alpha(alpha)
+        factor = sign * overall
+        if factor not in (1, -1):  # |factor| = 2 occurs in tensor contraction
+            term, factor = term.scale(factor), 1
+        prev = acc.get(OUT)
+        if prev is None:
+            acc[OUT] = term if factor == 1 else -term
+        else:
+            acc[OUT] = prev + term if factor == 1 else prev - term
     return Form(F.n, width, out_q, acc, backend="trig")
 
 
@@ -198,49 +214,74 @@ def _apply_table_grid(F: Form, entries, out_q, width, overall) -> Form:
     return Form(n, width, out_q, coeffs, backend="grid")
 
 
+def _zero_like(F: Form, width: int, q: int) -> Form:
+    """The zero q-form on F's backend, at F's grid resolution."""
+    P = F.grid_P() if F.backend == "grid" else None
+    return zero_form(F.n, width, q, backend=F.backend, P=P)
+
+
+def _apply(spec: OperatorSpec, F: Form, top: bool, adjoint: bool) -> Form:
+    """T (or Top) on F, or with adjoint=True its coordinate adjoint.
+
+    The one degree guard: an output degree outside 0..width gives the zero
+    form at the nearest existing degree.
+    """
+    width = _width(spec, top)
+    out_q = F.q - spec.ell if adjoint else F.q + spec.ell
+    if not 0 <= out_q <= width:
+        return _zero_like(F, width, min(max(out_q, 0), width))
+    if adjoint:
+        return _apply_table(F, _tstar_table(spec, F.q, top), out_q, width,
+                            overall=(-1) ** spec.k)
+    return _apply_table(F, _t_table(spec, F.q, top), out_q, width)
+
+
 # ---- the operators ---------------------------------------------------------
 
 
-def _check_hybrid(spec: OperatorSpec, F: Form):
-    if (F.n, F.N) != (spec.n, spec.N):
-        raise ValueError("form does not live on the spec's hybrid space")
-
-
-def _check_source(spec: OperatorSpec, F: Form):
-    if (F.n, F.N) != (spec.n, spec.n):
-        raise ValueError("source forms live over N == n")
+def _check_space(spec: OperatorSpec, F: Form, top: bool):
+    if (F.n, F.N) != (spec.n, _width(spec, top)):
+        raise ValueError("source forms live over N == n" if top
+                         else "form does not live on the spec's hybrid space")
 
 
 def apply_T(spec: OperatorSpec, F: Form) -> Form:
     """Degree-raising operator on hybrid q-forms; degree q + ell <= N."""
-    _check_hybrid(spec, F)
+    _check_space(spec, F, top=False)
     if F.q + spec.ell > spec.N:
         raise ValueError("output degree would exceed N")
-    return _apply_table(F, _t_table(spec, F.q, False), F.q + spec.ell, spec.N)
-
-
-def _apply_T_or_zero(spec, F):
-    if F.q + spec.ell > spec.N:
-        return Form(F.n, spec.N, min(F.q + spec.ell, spec.N), {}, backend=F.backend)
-    return apply_T(spec, F)
+    return _apply(spec, F, top=False, adjoint=False)
 
 
 def apply_T_star_coordinate(spec: OperatorSpec, H: Form) -> Form:
     """Coordinate route for the adjoint: global sign (-1)^k."""
-    _check_hybrid(spec, H)
+    _check_space(spec, H, top=False)
     if H.q < spec.ell:
         raise ValueError("adjoint needs degree q >= ell")
-    return _apply_table(H, _tstar_table(spec, H.q, False), H.q - spec.ell,
-                        spec.N, overall=(-1) ** spec.k)
+    return _apply(spec, H, top=False, adjoint=True)
 
 
 def _star_conjugate(spec, H, top: bool) -> Form:
-    width = spec.n if top else spec.N
     q_out = H.q - spec.ell
-    sign = (-1) ** (spec.k + q_out * (width - spec.ell - q_out))
-    inner = hodge_star(H)
-    mid = apply_Top(spec, inner) if top else apply_T(spec, inner)
+    sign = (-1) ** (spec.k + q_out * (_width(spec, top) - spec.ell - q_out))
+    mid = _apply(spec, hodge_star(H), top=top, adjoint=False)
     return hodge_star(mid).scale(sign)
+
+
+def _checked_adjoint(spec: OperatorSpec, H: Form, top: bool, check) -> Form:
+    """Star-conjugate adjoint with the coordinate-route cross-check of
+    apply_T_star, on the hybrid or (top=True) the source space."""
+    _check_space(spec, H, top)
+    if H.q < spec.ell:
+        raise ValueError("adjoint needs degree q >= ell")
+    out = _star_conjugate(spec, H, top)
+    if check is None:
+        check = H.backend == "trig"
+    if check and not (out - _apply(spec, H, top=top, adjoint=True)).is_zero():
+        raise ArithmeticError(
+            "adjoint routes disagree; an epsilon or sign table is corrupt"
+        )
+    return out
 
 
 def apply_T_star(spec: OperatorSpec, H: Form, check=None) -> Form:
@@ -250,25 +291,7 @@ def apply_T_star(spec: OperatorSpec, H: Form, check=None) -> Form:
     evaluated as well and any disagreement raises; the two routes are
     algebraically identical, so a mismatch means a sign fault somewhere.
     """
-    _check_hybrid(spec, H)
-    if H.q < spec.ell:
-        raise ValueError("adjoint needs degree q >= ell")
-    out = _star_conjugate(spec, H, top=False)
-    if check is None:
-        check = H.backend == "trig"
-    if check:
-        other = apply_T_star_coordinate(spec, H)
-        if not (out - other).is_zero():
-            raise ArithmeticError(
-                "adjoint routes disagree; an epsilon or sign table is corrupt"
-            )
-    return out
-
-
-def _apply_T_star_or_zero(spec, H):
-    if H.q < spec.ell:
-        return Form(H.n, spec.N, max(H.q - spec.ell, 0), {}, backend=H.backend)
-    return apply_T_star_coordinate(spec, H)
+    return _checked_adjoint(spec, H, False, check)
 
 
 def apply_Top(spec: OperatorSpec, f: Form) -> Form:
@@ -277,50 +300,24 @@ def apply_Top(spec: OperatorSpec, f: Form) -> Form:
     Returns the zero form when the output degree exceeds n.  Nontrivial
     only when n >= ell.
     """
-    _check_source(spec, f)
+    _check_space(spec, f, top=True)
     if spec.n < spec.ell:
         raise ValueError("source operator is trivial for n < ell")
-    if f.q + spec.ell > spec.n:
-        return Form(f.n, f.n, f.n, {}, backend=f.backend)
-    return _apply_table(f, _t_table(spec, f.q, True), f.q + spec.ell, spec.n)
+    return _apply(spec, f, top=True, adjoint=False)
 
 
 def apply_Top_star_coordinate(spec: OperatorSpec, h: Form) -> Form:
-    _check_source(spec, h)
+    _check_space(spec, h, top=True)
     if spec.n < spec.ell:
         raise ValueError("source operator is trivial for n < ell")
     if h.q < spec.ell:
         raise ValueError("adjoint needs degree q >= ell")
-    return _apply_table(h, _tstar_table(spec, h.q, True), h.q - spec.ell,
-                        spec.n, overall=(-1) ** spec.k)
+    return _apply(spec, h, top=True, adjoint=True)
 
 
 def apply_Top_star(spec: OperatorSpec, h: Form, check=None) -> Form:
-    _check_source(spec, h)
-    if h.q < spec.ell:
-        raise ValueError("adjoint needs degree q >= ell")
-    out = _star_conjugate(spec, h, top=True)
-    if check is None:
-        check = h.backend == "trig"
-    if check:
-        other = apply_Top_star_coordinate(spec, h)
-        if not (out - other).is_zero():
-            raise ArithmeticError(
-                "adjoint routes disagree; an epsilon or sign table is corrupt"
-            )
-    return out
-
-
-def _apply_Top_or_zero(spec, f):
-    if f.q + spec.ell > spec.n:
-        return Form(f.n, f.n, f.n, {}, backend=f.backend)
-    return apply_Top(spec, f)
-
-
-def _apply_Top_star_or_zero(spec, h):
-    if h.q < spec.ell:
-        return Form(h.n, h.n, max(h.q - spec.ell, 0), {}, backend=h.backend)
-    return apply_Top_star_coordinate(spec, h)
+    """Adjoint of apply_Top, cross-checked like apply_T_star."""
+    return _checked_adjoint(spec, h, True, check)
 
 
 # ---- composition laws ------------------------------------------------------
@@ -332,7 +329,7 @@ def compose_TT(spec: OperatorSpec, F: Form) -> Form:
     Identically zero exactly when ell is odd; for even ell the result
     equals twice the single-orientation sum (see tt_single_orientation).
     """
-    _check_hybrid(spec, F)
+    _check_space(spec, F, top=False)
     if F.q + 2 * spec.ell > spec.N:
         raise ValueError("no room for two degree raises at this q")
     return apply_T(spec, apply_T(spec, F))
@@ -344,55 +341,49 @@ def tt_single_orientation(spec: OperatorSpec, F: Form) -> Form:
         sum_{alpha < beta} epsilon^{ordering(beta) ordering(alpha) I}_M
                            d^{2k} F_I / dx^{alpha + beta}  on each M.
     """
-    _check_hybrid(spec, F)
+    _check_space(spec, F, top=False)
     if F.q + 2 * spec.ell > spec.N:
         raise ValueError("no room for two degree raises at this q")
     mis = multiindices(spec.n, spec.k)
-    out_q = F.q + 2 * spec.ell
-    acc = {}
-    for I, c in F.coeffs.items():
+    entries = []
+    for I in F.coeffs:
         for ia, alpha in enumerate(mis):
             a = spec.ordering.label_of(alpha)
             for beta in mis[ia + 1:]:
-                b = spec.ordering.label_of(beta)
-                merged = b + a + I
+                merged = spec.ordering.label_of(beta) + a + I
                 if len(set(merged)) != len(merged):
                     continue
                 M = tuple(sorted(merged))
-                sign = perm_sign_between(merged, M)
                 gamma = tuple(x + y for x, y in zip(alpha, beta))
-                term = c.diff_alpha(gamma).scale(sign)
-                acc[M] = acc[M] + term if M in acc else term
-    return Form(F.n, spec.N, out_q, acc, backend=F.backend)
+                entries.append((I, gamma, M, perm_sign_between(merged, M)))
+    return _apply_table(F, entries, F.q + 2 * spec.ell, spec.N)
+
+
+def _box(spec: OperatorSpec, H: Form, top: bool) -> Form:
+    """T T* + T* T, summed over the parts whose intermediate degree exists."""
+    _check_space(spec, H, top)
+    width = _width(spec, top)
+    parts = []
+    if H.q >= spec.ell:
+        down = _apply(spec, H, top=top, adjoint=True)
+        parts.append(_apply(spec, down, top=top, adjoint=False))
+    if H.q + spec.ell <= width:
+        up = _apply(spec, H, top=top, adjoint=False)
+        parts.append(_apply(spec, up, top=top, adjoint=True))
+    if not parts:
+        return _zero_like(H, width, H.q)
+    return sum(parts[1:], parts[0])
 
 
 def box_apply(spec: OperatorSpec, H: Form) -> Form:
-    """Hodge Laplacian T T* + T* T with degree guards at the edges."""
-    _check_hybrid(spec, H)
-    down = _apply_T_star_or_zero(spec, H)
-    up = _apply_T_or_zero(spec, H)
-    left = _apply_T_or_zero(spec, down)
-    right = _apply_T_star_or_zero(spec, up)
-    # guards can leave mismatched empty degrees at the extremes
-    if left.q != H.q:
-        left = Form(H.n, spec.N, H.q, {}, backend=H.backend)
-    if right.q != H.q:
-        right = Form(H.n, spec.N, H.q, {}, backend=H.backend)
-    return left + right
+    """Hodge Laplacian T T* + T* T; a part whose intermediate degree does
+    not exist contributes zero."""
+    return _box(spec, H, top=False)
 
 
 def box_apply_top(spec: OperatorSpec, h: Form) -> Form:
     """Source-space Hodge Laplacian Top Top* + Top* Top."""
-    _check_source(spec, h)
-    down = _apply_Top_star_or_zero(spec, h)
-    up = _apply_Top_or_zero(spec, h)
-    left = _apply_Top_or_zero(spec, down)
-    right = _apply_Top_star_or_zero(spec, up)
-    if left.q != h.q:
-        left = Form(h.n, h.n, h.q, {}, backend=h.backend)
-    if right.q != h.q:
-        right = Form(h.n, h.n, h.q, {}, backend=h.backend)
-    return left + right
+    return _box(spec, h, top=True)
 
 
 # ---- the Laplacian coefficient tensor ---------------------------------------
@@ -420,22 +411,12 @@ class CoeffTensor:
 
     def contract(self, H: Form) -> Form:
         """Apply the Laplacian through the tensor; must equal box_apply."""
-        width = self.spec.n if self.top else self.spec.N
+        width = _width(self.spec, self.top)
         if (H.n, H.N, H.q) != (self.spec.n, width, self.q):
             raise ValueError("form shape does not match the tensor")
-        overall = (-1) ** self.spec.k
-        acc = {}
-        for (M, I, alpha, beta), val in self.entries.items():
-            c = H.coeffs.get(I)
-            if c is None:
-                continue
-            gamma = tuple(x + y for x, y in zip(alpha, beta))
-            term = c.diff_alpha(gamma).scale(val * overall)
-            acc[M] = acc[M] + term if M in acc else term
-        out = Form(H.n, width, self.q, acc, backend=H.backend)
-        if H.backend == "grid" and not acc:
-            return zero_form(H.n, width, self.q, backend="grid", P=H.grid_P())
-        return out
+        table = [(I, tuple(x + y for x, y in zip(alpha, beta)), M, val)
+                 for (M, I, alpha, beta), val in self.entries.items()]
+        return _apply_table(H, table, self.q, width, overall=(-1) ** self.spec.k)
 
     def to_obj(self) -> dict:
         rows = [
@@ -451,10 +432,8 @@ class CoeffTensor:
 
     def is_kronecker(self) -> bool:
         """True when C^{MI}_{alpha beta} = delta_MI delta_alpha,beta."""
-        width = self.spec.n if self.top else self.spec.N
-        mis = [a for a in multiindices(self.spec.n, self.spec.k)
-               if not self.top or all(
-                   t <= self.spec.n for t in self.spec.ordering.label_of(a))]
+        width = _width(self.spec, self.top)
+        mis = [a for a, _ in _image_alphas(self.spec, self.top)]
         expected = {}
         for I in labels(width, self.q):
             for a in mis:
@@ -475,7 +454,7 @@ def _image_alphas(spec: OperatorSpec, top: bool):
 
 
 def _tensor_by_summation(spec: OperatorSpec, q: int, top: bool) -> dict:
-    width = spec.n if top else spec.N
+    width = _width(spec, top)
     pairs = _image_alphas(spec, top)
     entries = {}
 
@@ -538,7 +517,7 @@ def top_coeff_tensor(spec: OperatorSpec, q: int) -> CoeffTensor:
 
 def coeff_entry_direct(spec, q, M, I, alpha, beta, top=False) -> int:
     """One tensor entry by the literal sums over all L and K."""
-    width = spec.n if top else spec.N
+    width = _width(spec, top)
     a = spec.ordering.label_of(alpha)
     b = spec.ordering.label_of(beta)
     total = 0
@@ -594,7 +573,7 @@ def coeff_entry_closed_form(spec, q, M, I, alpha, beta, top=False) -> int:
 def box_coeff_closed_form(spec: OperatorSpec, q: int, top: bool = False) -> CoeffTensor:
     """Full tensor rebuilt from coeff_entry_closed_form on the candidate
     support (all (M, I, alpha, beta) that either part could touch)."""
-    width = spec.n if top else spec.N
+    width = _width(spec, top)
     pairs = [(alpha, a, set(a)) for alpha, a in _image_alphas(spec, top)]
     entries = {}
     for I in labels(width, q):
@@ -633,11 +612,11 @@ def invariance_defect(spec: OperatorSpec, A, F: Form, center=None) -> float:
     A = np.asarray(A, dtype=float)
     if not np.allclose(A @ A.T, np.eye(spec.n), atol=1e-12):
         raise ValueError("expected an orthogonal matrix")
-    _check_source(spec, F)
+    _check_space(spec, F, top=True)
     if center is None and F.backend == "grid":
         center = np.full(spec.n, np.pi)
-    TF = _apply_Top_or_zero(spec, F)
-    left = _apply_Top_or_zero(spec, pullback_linear(F, A, center))
+    TF = _apply(spec, F, top=True, adjoint=False)
+    left = _apply(spec, pullback_linear(F, A, center), top=True, adjoint=False)
     right = pullback_linear(TF, A, center)
     diff = left - right
     if diff.backend == "trig":

@@ -221,6 +221,30 @@ def test_tensor_contract_matches_operator_route():
     assert (box_apply_top(spec, h) - top_coeff_tensor(spec, 1).contract(h)).is_zero()
 
 
+@pytest.mark.parametrize("spec,q", [
+    pytest.param(spec, q, id=f"{spec.n}{spec.k}{spec.ell}-{spec.ordering.kind}-q{q}")
+    for spec in (spec_for(2, 2, 2), spec_for(3, 2, 1, "diagonal"))
+    for q in range(spec.N + 1)])
+def test_grid_laplacians_match_exact_at_every_degree(spec, q):
+    """Grid box_apply and tensor contraction (and box_apply_top at q = 0)
+    agree with the exact backend, also at degrees where only one of
+    T T* and T* T exists (every degree for ell = 2 here)."""
+    rng = random.Random(41 + q)
+    P = 16
+    H = random_trig_form(rng, spec.n, spec.N, q, components=2)
+    exact = sample_form(box_apply(spec, H), P)
+    assert form_max_abs(exact) > 0
+    grid = sample_form(H, P)
+    for got in (box_apply(spec, grid), box_coeff_tensor(spec, q).contract(grid)):
+        assert form_max_abs(got - exact) < 1e-9
+    if q == 0:
+        h = random_trig_form(rng, spec.n, spec.n, 0)
+        exact_top = sample_form(box_apply_top(spec, h), P)
+        assert form_max_abs(exact_top) > 0
+        got = box_apply_top(spec, sample_form(h, P))
+        assert form_max_abs(got - exact_top) < 1e-9
+
+
 def test_degree_guards_raise():
     spec = spec_for(2, 2, 2)
     top = Form(2, 3, 3, {(1, 2, 3): wave(2, (1, 0), 0, 1)}, backend="trig")
@@ -282,9 +306,11 @@ def test_invariance_breaks_for_higher_order():
     assert invariance_defect(spec, A, F) > 1e-3
 
 
-def test_adjoint_cross_check_fires_on_corruption(monkeypatch):
+@pytest.mark.parametrize("top", [False, True], ids=["hybrid", "source"])
+def test_adjoint_cross_check_fires_on_corruption(monkeypatch, top):
     """Corrupt the coordinate-route sign table and the dual-route self-check
-    inside apply_T_star must detect the disagreement."""
+    inside apply_T_star (apply_Top_star on the source space) must detect the
+    disagreement."""
     spec = spec_for(2, 2, 2)
     real = ops._tstar_table.__wrapped__
 
@@ -292,8 +318,9 @@ def test_adjoint_cross_check_fires_on_corruption(monkeypatch):
         return tuple((I, beta, V, -sign) for I, beta, V, sign in real(s, q, top))
 
     rng = random.Random(40)
-    H = random_trig_form(rng, 2, 3, 2, components=3)
-    apply_T_star(spec, H)  # sanity: healthy tables agree
+    adjoint = apply_Top_star if top else apply_T_star
+    H = random_trig_form(rng, 2, spec.n if top else spec.N, 2, components=3)
+    assert not adjoint(spec, H).is_zero()  # sanity: healthy tables agree
     monkeypatch.setattr(ops, "_tstar_table", corrupted)
     with pytest.raises(ArithmeticError):
-        apply_T_star(spec, H)
+        adjoint(spec, H)
