@@ -13,8 +13,6 @@ the library enforces that instead of quietly returning a number.
 
 import random
 
-import numpy as np
-
 from divcurl import (
     bump_form,
     classical_gn_ratio,

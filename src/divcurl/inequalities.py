@@ -382,7 +382,7 @@ def vs_reduction(spec: OperatorSpec, F: Form) -> dict:
             sign = perm_sign_between(a + I, full)
             if sign == 0:
                 continue
-            term = c.scale(sign) if F.backend == "trig" else c * sign
+            term = c.scale(sign)
             acc = term if acc is None else acc + term
         if acc is not None and (not acc.is_zero()):
             out[alpha] = acc
@@ -401,7 +401,7 @@ def vs_lift(spec: OperatorSpec, g: dict, backend="trig", P=None) -> Form:
         a = spec.ordering.label_of(tuple(alpha))
         I = tuple(t for t in full if t not in set(a))
         sign = perm_sign_between(a + I, full)
-        term = fn.scale(sign) if backend == "trig" else fn * sign
+        term = fn.scale(sign)
         coeffs[I] = coeffs[I] + term if I in coeffs else term
     q = spec.N - spec.ell
     if not coeffs:

@@ -335,18 +335,12 @@ def compose_TT(spec: OperatorSpec, F: Form) -> Form:
     return apply_T(spec, apply_T(spec, F))
 
 
-def tt_single_orientation(spec: OperatorSpec, F: Form) -> Form:
-    """The half of T o T with the two derivative blocks in a fixed order:
-
-        sum_{alpha < beta} epsilon^{ordering(beta) ordering(alpha) I}_M
-                           d^{2k} F_I / dx^{alpha + beta}  on each M.
-    """
-    _check_space(spec, F, top=False)
-    if F.q + 2 * spec.ell > spec.N:
-        raise ValueError("no room for two degree raises at this q")
+@lru_cache(maxsize=None)
+def _tt_table(spec: OperatorSpec, q: int):
+    """Entries (I, alpha + beta, M, sign) of tt_single_orientation at degree q."""
     mis = multiindices(spec.n, spec.k)
     entries = []
-    for I in F.coeffs:
+    for I in labels(spec.N, q):
         for ia, alpha in enumerate(mis):
             a = spec.ordering.label_of(alpha)
             for beta in mis[ia + 1:]:
@@ -356,7 +350,19 @@ def tt_single_orientation(spec: OperatorSpec, F: Form) -> Form:
                 M = tuple(sorted(merged))
                 gamma = tuple(x + y for x, y in zip(alpha, beta))
                 entries.append((I, gamma, M, perm_sign_between(merged, M)))
-    return _apply_table(F, entries, F.q + 2 * spec.ell, spec.N)
+    return tuple(entries)
+
+
+def tt_single_orientation(spec: OperatorSpec, F: Form) -> Form:
+    """The half of T o T with the two derivative blocks in a fixed order:
+
+        sum_{alpha < beta} epsilon^{ordering(beta) ordering(alpha) I}_M
+                           d^{2k} F_I / dx^{alpha + beta}  on each M.
+    """
+    _check_space(spec, F, top=False)
+    if F.q + 2 * spec.ell > spec.N:
+        raise ValueError("no room for two degree raises at this q")
+    return _apply_table(F, _tt_table(spec, F.q), F.q + 2 * spec.ell, spec.N)
 
 
 def _box(spec: OperatorSpec, H: Form, top: bool) -> Form:

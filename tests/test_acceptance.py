@@ -5,7 +5,6 @@ The lines are written through the capture (sys.__stdout__) so they appear
 in piped pytest output.
 """
 
-import math
 import random
 import sys
 import time
@@ -15,15 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from divcurl.forms import (
-    Form,
-    form_max_abs,
-    hodge_star,
-    inner_product,
-    inner_product_wedge,
-    lp_norm,
-    sample_form,
-)
+from divcurl.forms import Form, lp_norm, sample_form
 from divcurl.gridfield import GridField, grid_points
 from divcurl.increments import admissible_increments, increment_scan
 from divcurl.inequalities import (
@@ -40,22 +31,11 @@ from divcurl.inequalities import (
     vs_reduction,
 )
 from divcurl.multiindex import random_ordering
-from divcurl.operators import (
-    OperatorSpec,
-    apply_T,
-    apply_T_star,
-    apply_Top,
-    apply_Top_star,
-    box_apply,
-    box_coeff_closed_form,
-    box_coeff_tensor,
-    compose_TT,
-    invariance_defect,
-    spec_for,
-)
+from divcurl.operators import OperatorSpec, apply_T, invariance_defect, spec_for
 from divcurl.randoms import random_trig_form
 from divcurl.symbol import box_symbol, ellipticity_scan, lh_quotient
 from divcurl.trigpoly import TrigPoly
+from divcurl.verify import identity_suite
 
 _RESULTS = []
 
@@ -130,77 +110,24 @@ def _orderings_for(n, k, ell, N, rng):
     return specs
 
 
-def _identity_battery(spec, rng, forms=20):
-    n, N, ell = spec.n, spec.N, spec.ell
-    checks = 0
-    saw_tt_nonzero = False
-    tt_room = [q for q in range(N + 1) if q + 2 * ell <= N]
-    witness = TrigPoly.wave(n, tuple(range(1, n + 1)), 0, 1)
-    for i in range(forms):
-        q = i % (N + 1)
-        F = random_trig_form(rng, n, N, q, components=2)
-        # (c) star involution sign law
-        sign = (-1) ** (q * (N - q))
-        assert (hodge_star(hodge_star(F)) - F.scale(sign)).is_zero()
-        # (d) pairing routes
-        G2 = random_trig_form(rng, n, N, q, components=2)
-        assert inner_product(F, G2) == inner_product_wedge(F, G2)
-        # (a) adjointness (apply_T_star cross-checks its two routes too)
-        qa = min(q, N - ell)
-        Fa = F if qa == q else random_trig_form(rng, n, N, qa, components=2)
-        G = apply_T(spec, Fa) + random_trig_form(rng, n, N, qa + ell,
-                                                 components=1)
-        assert inner_product(apply_T(spec, Fa), G) == \
-            inner_product(Fa, apply_T_star(spec, G))
-        if n >= ell and i % 4 == 0:
-            qs = min(q, n - ell)
-            f = random_trig_form(rng, n, n, qs, components=1)
-            g = apply_Top(spec, f) + random_trig_form(rng, n, n, qs + ell,
-                                                      components=1)
-            assert inner_product(apply_Top(spec, f), g) == \
-                inner_product(f, apply_Top_star(spec, g))
-        # (e) Laplacian through the operator route and the tensor route
-        assert (box_apply(spec, F) - box_coeff_tensor(spec, q).contract(F)).is_zero()
-        # (b) compositions
-        if q in tt_room:
-            lab0 = None
-            for L in F.coeffs:
-                lab0 = L
-                break
-            probe = F + Form(n, N, q, {lab0: witness}, backend="trig") \
-                if lab0 is not None else F
-            TT = compose_TT(spec, probe)
-            if ell % 2 == 1:
-                assert TT.is_zero()
-            elif not TT.is_zero():
-                saw_tt_nonzero = True
-        checks += 5
-    if ell % 2 == 0 and tt_room:
-        assert saw_tt_nonzero, "even step composition never produced a witness"
-    # (f)/(g) per-degree tensor laws
-    for q in range(N + 1):
-        C = box_coeff_tensor(spec, q)
-        if ell == 1:
-            assert C.is_kronecker()
-        else:
-            assert C.entries == box_coeff_closed_form(spec, q).entries
-        checks += 1
-    return checks
-
-
 def test_criterion_2_exact_identity_suite():
     box = [""]
     with criterion(2, 300.0, box):
         rng = random.Random(20240814)
-        total_checks = 0
+        total_records = 0
         total_specs = 0
         for n, k, ell, N in _all_specs_n3_k3():
             for spec in _orderings_for(n, k, ell, N, rng):
-                total_checks += _identity_battery(spec, rng, forms=20)
+                records = identity_suite(spec, rng, deep=True)
+                bad = next((r for r in records if not r.passed), None)
+                assert bad is None, \
+                    f"{bad.case} {spec.digest()}: {bad.name}: {bad.detail}"
+                total_records += len(records)
                 total_specs += 1
-        box[0] = f"{total_checks} exact checks over {total_specs} " \
+        box[0] = f"{total_records} exact checks over {total_specs} " \
                  f"spec/ordering instances, zero tolerance"
         assert total_specs >= 11 * 6
+        assert total_records >= 3683  # a lower count means a check stopped running
 
 
 # ---- criterion 3: symbol criteria ----------------------------------------------

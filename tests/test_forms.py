@@ -88,10 +88,10 @@ def test_wedge_explicit_sign():
 def test_pairing_two_routes_agree_exactly():
     """Coordinate pairing versus the wedge-with-star route."""
     rng = random.Random(8)
-    for N in (2, 3, 4):
+    for n, N in [(2, 2), (2, 3), (2, 4)] + [(3, N) for N in range(3, 11)]:
         for q in range(N + 1):
-            F = random_trig_form(rng, 2, N, q, components=3)
-            G = F + random_trig_form(rng, 2, N, q, components=2)
+            F = random_trig_form(rng, n, N, q, components=3)
+            G = F + random_trig_form(rng, n, N, q, components=2)
             a = inner_product(F, G)
             b = inner_product_wedge(F, G)
             assert a == b and isinstance(a, Fraction)

@@ -5,14 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from divcurl.forms import Form, inner_product, lp_norm, sample_form, zero_form
+from divcurl.forms import Form, lp_norm, zero_form
 from divcurl.gridfield import GridField
 from divcurl.inequalities import (
     BumpSpec,
-    bump_form,
     classical_gn_ratio,
     default_config,
-    dilate_form_specs,
     divergence_defect,
     divergence_free_family,
     duality_dilation_study,
@@ -27,9 +25,8 @@ from divcurl.inequalities import (
     vs_lift,
     vs_reduction,
 )
-from divcurl.operators import apply_T, apply_Top, apply_Top_star, spec_for
+from divcurl.operators import apply_T, apply_Top, spec_for
 from divcurl.randoms import random_trig_form
-from divcurl.symbol import source_symbol_scalar
 
 
 def test_bump_periodization_and_dilation():

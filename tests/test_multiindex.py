@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import math
 import random
 
 import pytest

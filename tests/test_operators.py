@@ -1,6 +1,5 @@
 """Operator layer: actions, adjoints, compositions, coefficient tensors."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -8,8 +7,8 @@ import numpy as np
 import pytest
 
 import divcurl.operators as ops
-from divcurl.forms import Form, form_max_abs, inner_product, sample_form, zero_form
-from divcurl.multiindex import labels, multiindices
+from divcurl.forms import Form, form_max_abs, inner_product, sample_form
+from divcurl.multiindex import labels, random_ordering
 from divcurl.operators import (
     OperatorSpec,
     apply_T,
@@ -40,6 +39,13 @@ SPECS = [
     spec_for(3, 2, 2),
     spec_for(3, 2, 1, "diagonal"),
 ]
+
+# the adjoint tests also run every degree of (3, 3, 1) (N = 10) and random
+# orderings of odd- and even-ell specs, drawn from their own generator
+_SHUFFLE = random.Random(35)
+ADJOINT_SPECS = SPECS + [spec_for(3, 3, 1)] + [
+    OperatorSpec(3, k, ell, N, random_ordering(3, k, ell, N, _SHUFFLE))
+    for k, ell, N in [(2, 1, 6), (3, 1, 10), (2, 2, 4), (3, 2, 5)]]
 
 
 def wave(n, freq, phase=0, coef=1):
@@ -98,7 +104,7 @@ def test_box_on_plane_wave_frozen():
 
 def test_adjointness_exact_random_forms():
     rng = random.Random(31)
-    for spec in SPECS:
+    for spec in ADJOINT_SPECS:
         for q in range(spec.N - spec.ell + 1):
             F = random_trig_form(rng, spec.n, spec.N, q, components=3)
             G = apply_T(spec, F) + random_trig_form(
@@ -110,7 +116,7 @@ def test_adjointness_exact_random_forms():
 
 def test_adjoint_routes_agree():
     rng = random.Random(32)
-    for spec in SPECS:
+    for spec in ADJOINT_SPECS:
         for q in range(spec.ell, spec.N + 1):
             H = random_trig_form(rng, spec.n, spec.N, q, components=2)
             a = apply_T_star_coordinate(spec, H)
@@ -120,7 +126,7 @@ def test_adjoint_routes_agree():
 
 def test_source_adjointness():
     rng = random.Random(33)
-    for spec in SPECS:
+    for spec in ADJOINT_SPECS:
         if spec.n < spec.ell:
             continue
         for q in range(spec.n - spec.ell + 1):

@@ -1,6 +1,18 @@
 """The exact identity battery: coverage, determinism, report shape."""
 
-from divcurl.verify import default_cases, run_verify
+import random
+
+import pytest
+
+from divcurl import operators, verify
+from divcurl.multiindex import Ordering
+from divcurl.verify import default_cases, identity_suite, run_verify
+
+# a (3, 2, 2) ordering: T T on 0-forms has the nonzero symbol
+# 2 xi1 xi2 xi3 (xi1 + xi2 - xi3), which vanishes on the wave (1, 2, 3)
+SPEC_322 = operators.OperatorSpec(3, 2, 2, 4, Ordering(3, 2, 2, 4, [
+    ((2, 0, 0, 0), (1, 4)), ((1, 1, 0, 0), (2, 4)), ((0, 2, 0, 0), (3, 4)),
+    ((1, 0, 1, 0), (1, 2)), ((0, 1, 1, 0), (2, 3)), ((0, 0, 2, 0), (1, 3))]))
 
 
 def test_default_cases_cover_canonical_orderings():
@@ -47,3 +59,29 @@ def test_seed_changes_probes_not_outcomes():
     b = run_verify(cases=cases, seed=2)
     assert a["all_passed"] and b["all_passed"]
     assert a["checks_run"] == b["checks_run"]
+
+
+def test_tt_nonzero_is_exact_for_a_thin_symbol():
+    records = identity_suite(SPEC_322, random.Random(0))
+    assert [r.name for r in records if not r.passed] == []
+
+
+# (module, name, corruption of the real one, record family that must fail);
+# a star flipped at q = 1 misses the own probe (q = 2), not the box probes
+CORRUPTIONS = [
+    (verify, "inner_product_wedge",
+     lambda real: lambda F, G: real(F, G) + 1, "adjoint_routes"),
+    (verify, "hodge_star",
+     lambda real: lambda F: real(F).scale(-1 if F.q == 1 else 1), "star_involution"),
+    (operators, "_tt_table", lambda real: lambda spec, q: real(spec, q) + tuple(
+        (I, g, M, -s) for I, g, M, s in real(spec, q)), "TT_nonzero"),
+]
+
+
+@pytest.mark.parametrize("module, name, corrupt, family", CORRUPTIONS,
+                         ids=[c[3] for c in CORRUPTIONS])
+def test_folded_checks_fire_on_corruption(monkeypatch, module, name, corrupt, family):
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    records = identity_suite(operators.spec_for(3, 2, 2), random.Random(0))
+    hit = [r for r in records if r.name.startswith(family)]
+    assert hit and not any(r.passed for r in hit) and all(r.detail for r in hit)
