@@ -97,7 +97,10 @@ def _cmd_symbol(args) -> int:
     if args.xi:
         from fractions import Fraction
 
-        xi = tuple(Fraction(part) for part in args.xi.split(","))
+        try:
+            xi = tuple(Fraction(part) for part in args.xi.split(","))
+        except ZeroDivisionError:
+            raise ValueError(f"--xi {args.xi}: zero denominator") from None
         labs, S = box_symbol(spec, q, xi, source=args.source)
         obj = {
             "schema": "divcurl.symbol/1",

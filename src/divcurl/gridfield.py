@@ -82,11 +82,6 @@ class GridField:
     def const(cls, n, P, value):
         return cls(n, P, np.full((P,) * n, float(value)))
 
-    @classmethod
-    def from_function(cls, n, P, fn):
-        """Sample a callable of the (..., n) coordinate array."""
-        return cls(n, P, fn(grid_points(n, P)))
-
     def _like(self, samples):
         return GridField(self.n, self.P, samples)
 

@@ -41,12 +41,13 @@ from .forms import (
     zero_form,
 )
 from .gridfield import GridField, int_freqs
-from .multiindex import labels, multiindices, perm_sign_between
+from .multiindex import labels, multiindices
 from .operators import (
     OperatorSpec,
     apply_T,
     apply_T_star_coordinate,
     _apply,
+    _t_table,
     spec_for,
 )
 
@@ -364,28 +365,21 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
 def vs_reduction(spec: OperatorSpec, F: Form) -> dict:
     """Scalar family {alpha: g_alpha} of a hybrid (N - ell)-form:
 
-        g_alpha = sum_I epsilon^{ordering(alpha) I}_{(1..N)} F_I.
+        g_alpha = epsilon^{ordering(alpha) I}_{(1..N)} F_I,
+        I the complement of ordering(alpha),
 
-    When T F = 0 the family satisfies sum_alpha d^k g_alpha / dx^alpha = 0
-    in the same exact arithmetic as F.
+    read off the raising table at degree N - ell.  When T F = 0 the family
+    satisfies sum_alpha d^k g_alpha / dx^alpha = 0 in the same exact
+    arithmetic as F.
     """
     if (F.n, F.N) != (spec.n, spec.N):
         raise ValueError("form does not live on the spec's hybrid space")
     if F.q != spec.N - spec.ell:
         raise ValueError("reduction needs degree N - ell")
-    full = tuple(range(1, spec.N + 1))
     out = {}
-    for alpha in multiindices(spec.n, spec.k):
-        a = spec.ordering.label_of(alpha)
-        acc = None
-        for I, c in F.coeffs.items():
-            sign = perm_sign_between(a + I, full)
-            if sign == 0:
-                continue
-            term = c.scale(sign)
-            acc = term if acc is None else acc + term
-        if acc is not None and (not acc.is_zero()):
-            out[alpha] = acc
+    for I, alpha, _, sign in _t_table(spec, spec.N - spec.ell, False):
+        if I in F.coeffs and not F.coeffs[I].is_zero():
+            out[alpha] = F.coeffs[I].scale(sign)
     return out
 
 
@@ -394,16 +388,19 @@ def vs_lift(spec: OperatorSpec, g: dict, backend="trig", P=None) -> Form:
 
         F_I = epsilon^{ordering(alpha) I}_{(1..N)} g_alpha,
         I the complement of ordering(alpha).
+
+    Every key of g must be one of multiindices(n, k).
     """
-    full = tuple(range(1, spec.N + 1))
+    q = spec.N - spec.ell
+    complements = {alpha: (I, sign)
+                   for I, alpha, _, sign in _t_table(spec, q, False)}
     coeffs = {}
     for alpha, fn in g.items():
-        a = spec.ordering.label_of(tuple(alpha))
-        I = tuple(t for t in full if t not in set(a))
-        sign = perm_sign_between(a + I, full)
-        term = fn.scale(sign)
-        coeffs[I] = coeffs[I] + term if I in coeffs else term
-    q = spec.N - spec.ell
+        if alpha not in complements:
+            raise ValueError(f"family key {alpha!r} is not in "
+                             f"multiindices({spec.n}, {spec.k})")
+        I, sign = complements[alpha]
+        coeffs[I] = fn.scale(sign)
     if not coeffs:
         return zero_form(spec.n, spec.N, q, backend=backend, P=P)
     return Form(spec.n, spec.N, q, coeffs, backend=backend)
@@ -553,6 +550,23 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _positive_numbers(value) -> bool:
+    return isinstance(value, list) and all(
+        (_is_int(x) or isinstance(x, float)) and x > 0 for x in value)
+
+
+# probe keys whose values are checked up front: (test, what the value must be)
+_VALUE_RULES = {
+    **{key: (_is_int, "an integer") for key in ("n", "k", "ell", "q")},
+    **{key: (lambda v: _is_int(v) and v >= 1, "a positive integer")
+       for key in ("P", "trials")},
+    "sigma_range": (lambda v: _positive_numbers(v) and len(v) == 2,
+                    "a list of two positive numbers"),
+    "lams": (lambda v: _positive_numbers(v) and len(v) >= 1,
+             "a non-empty list of positive numbers"),
+}
+
+
 def _check_config(config) -> None:
     """Reject a malformed probe configuration with a ValueError naming the
     offending probe, before any probe runs."""
@@ -574,10 +588,9 @@ def _check_config(config) -> None:
         if missing:
             raise ValueError(f"probe {i} ({kind}): missing required "
                              f"keys {missing}")
-        trials = entry.get("trials", 1)
-        if not _is_int(trials) or trials < 1:
-            raise ValueError(f"probe {i} ({kind}): trials must be a "
-                             "positive integer")
+        for key, (ok, what) in _VALUE_RULES.items():
+            if key in entry and not ok(entry[key]):
+                raise ValueError(f"probe {i} ({kind}): {key} must be {what}")
 
 
 def run_suite(config: dict) -> dict:

@@ -199,10 +199,6 @@ class Ordering:
         """Length-n multi-index assigned to a label."""
         return restrict_multiindex(self._bwd[tuple(label)], self.n)
 
-    @property
-    def image(self):
-        return tuple(lab for _, lab in self.pairs)
-
     def __eq__(self, other):
         return isinstance(other, Ordering) and self.pairs == other.pairs and (
             (self.n, self.k, self.ell, self.N)

@@ -32,10 +32,15 @@ in {1..N} or {1..n}, holds the single degree guard, and hands the table
 to _apply_table, which evaluates (I, alpha, OUT, sign) entries on either
 backend.  apply_T, apply_Top, their coordinate adjoints, both
 Laplacians, CoeffTensor.contract and tt_single_orientation all end
-there.  The cross-check routes stay separate on purpose: the
-star-conjugate adjoint against _tstar_table (which is built directly,
-not by transposing _t_table), the summation tensor against the closed
-form, and label pairing against wedge pairing.
+there.
+
+_t_table is the only enumeration of the raising coupling: the summation
+tensor, the real T o T (_tt_table) and the scalar dictionary of
+vs_reduction are read off its cached entries.  The routes that check
+them keep their own signs, so a fault in _t_table cannot hide on both
+sides of a check: _tstar_table (built directly) behind the adjoint,
+the closed-form and direct-sum tensor entries, and forms.py's star and
+wedge behind the pairing routes.
 """
 
 from __future__ import annotations
@@ -202,11 +207,8 @@ def _apply_table_grid(F: Form, entries, out_q, width, overall) -> Form:
         if sp is None:
             continue
         mult = _deriv_multiplier(n, P, tuple(alpha))
-        term = sp * mult
-        if OUT in acc:
-            acc[OUT] = acc[OUT] + sign * term
-        else:
-            acc[OUT] = sign * term
+        term = sign * (sp * mult)
+        acc[OUT] = acc[OUT] + term if OUT in acc else term
     coeffs = {OUT: GridField(n, P, np.fft.ifftn(sp).real * overall)
               for OUT, sp in acc.items()}
     if not coeffs:
@@ -335,34 +337,30 @@ def compose_TT(spec: OperatorSpec, F: Form) -> Form:
     return apply_T(spec, apply_T(spec, F))
 
 
-@lru_cache(maxsize=None)
 def _tt_table(spec: OperatorSpec, q: int):
-    """Entries (I, alpha + beta, M, sign) of tt_single_orientation at degree q."""
-    mis = multiindices(spec.n, spec.k)
-    entries = []
-    for I in labels(spec.N, q):
-        for ia, alpha in enumerate(mis):
-            a = spec.ordering.label_of(alpha)
-            for beta in mis[ia + 1:]:
-                merged = spec.ordering.label_of(beta) + a + I
-                if len(set(merged)) != len(merged):
-                    continue
-                M = tuple(sorted(merged))
-                gamma = tuple(x + y for x, y in zip(alpha, beta))
-                entries.append((I, gamma, M, perm_sign_between(merged, M)))
-    return tuple(entries)
+    """Entries (I, alpha, beta, M, sign) of the real T o T at degree q: the
+    raising tables of degrees q and q + ell composed through their shared
+    label, so sign = epsilon^{b a I}_M.  Both orientations appear."""
+    up = _grouped(_t_table(spec, q + spec.ell, False), 0)
+    return tuple((I, alpha, beta, M, s1 * s2)
+                 for I, alpha, L, s1 in _t_table(spec, q, False)
+                 for _, beta, M, s2 in up.get(L, ()))
 
 
 def tt_single_orientation(spec: OperatorSpec, F: Form) -> Form:
     """The half of T o T with the two derivative blocks in a fixed order:
 
         sum_{alpha < beta} epsilon^{ordering(beta) ordering(alpha) I}_M
-                           d^{2k} F_I / dx^{alpha + beta}  on each M.
-    """
+                           d^{2k} F_I / dx^{alpha + beta}  on each M,
+    alpha before beta in multiindices order."""
     _check_space(spec, F, top=False)
     if F.q + 2 * spec.ell > spec.N:
         raise ValueError("no room for two degree raises at this q")
-    return _apply_table(F, _tt_table(spec, F.q), F.q + 2 * spec.ell, spec.N)
+    rank = {alpha: i for i, alpha in enumerate(multiindices(spec.n, spec.k))}
+    half = [(I, tuple(x + y for x, y in zip(alpha, beta)), M, sign)
+            for I, alpha, beta, M, sign in _tt_table(spec, F.q)
+            if rank[alpha] < rank[beta]]
+    return _apply_table(F, half, F.q + 2 * spec.ell, spec.N)
 
 
 def _box(spec: OperatorSpec, H: Form, top: bool) -> Form:
@@ -439,66 +437,47 @@ class CoeffTensor:
     def is_kronecker(self) -> bool:
         """True when C^{MI}_{alpha beta} = delta_MI delta_alpha,beta."""
         width = _width(self.spec, self.top)
-        mis = [a for a, _ in _image_alphas(self.spec, self.top)]
-        expected = {}
-        for I in labels(width, self.q):
-            for a in mis:
-                expected[(I, I, a, a)] = 1
-        return self.entries == expected
+        return self.entries == {(I, I, a, a): 1 for I in labels(width, self.q)
+                                for a, _ in _image_alphas(self.spec, self.top)}
 
 
 def _image_alphas(spec: OperatorSpec, top: bool):
     """(alpha, label) pairs of the ordering, restricted to {1..n} labels
     in the source-space case."""
-    out = []
-    for alpha in multiindices(spec.n, spec.k):
-        a = spec.ordering.label_of(alpha)
-        if top and any(t > spec.n for t in a):
-            continue
-        out.append((alpha, a))
-    return out
+    pairs = [(alpha, spec.ordering.label_of(alpha))
+             for alpha in multiindices(spec.n, spec.k)]
+    return [(alpha, a) for alpha, a in pairs if not top or max(a) <= spec.n]
+
+
+def _grouped(entries, slot) -> dict:
+    """Table entries keyed by their input (slot 0) or output (slot 2) label."""
+    groups = {}
+    for entry in entries:
+        groups.setdefault(entry[slot], []).append(entry)
+    return groups
 
 
 def _tensor_by_summation(spec: OperatorSpec, q: int, top: bool) -> dict:
-    width = _width(spec, top)
-    pairs = _image_alphas(spec, top)
+    """Sum over connecting labels, read off the raising table: T* T pairs
+    the degree-q entries that share an output label L, T T* the degree
+    q - ell entries that share an input label K."""
     entries = {}
 
     def put(key, val):
-        if val == 0:
-            return
         newval = entries.get(key, 0) + val
         if newval == 0:
             entries.pop(key, None)
         else:
             entries[key] = newval
 
-    # For a connecting label L (or K), the label and sign each block a
-    # contributes depend on a alone, so they are computed once per block
-    # and reused by every (alpha, beta) pair.
-    if q + spec.ell <= width:
-        for L in labels(width, q + spec.ell):
-            setL = set(L)
-            inside = []
-            for alpha, a in pairs:
-                set_a = set(a)
-                if set_a <= setL:
-                    rest = tuple(t for t in L if t not in set_a)
-                    inside.append((alpha, rest, perm_sign_between(a + rest, L)))
-            for alpha, I, s1 in inside:
-                for beta, M, s2 in inside:
-                    put((M, I, alpha, beta), s1 * s2)
-    if q - spec.ell >= 0:
-        for K in labels(width, q - spec.ell):
-            setK = set(K)
-            outside = []
-            for alpha, a in pairs:
-                if not (set(a) & setK):
-                    joined = tuple(sorted(a + K))
-                    outside.append((alpha, joined,
-                                    perm_sign_between(a + K, joined)))
-            for alpha, M, s1 in outside:
-                for beta, I, s2 in outside:
+    for group in _grouped(_t_table(spec, q, top), 2).values():
+        for I, alpha, _, s1 in group:
+            for M, beta, _, s2 in group:
+                put((M, I, alpha, beta), s1 * s2)
+    if q >= spec.ell:
+        for group in _grouped(_t_table(spec, q - spec.ell, top), 0).values():
+            for _, alpha, M, s1 in group:
+                for _, beta, I, s2 in group:
                     put((M, I, alpha, beta), s1 * s2)
     return entries
 

@@ -7,9 +7,10 @@ two sides differ, or the offending tensor entry).
 
 adjoint_routes checks T* against its star-conjugate route and the label
 pairing <F, T*G> against the wedge pairing.  TT_nonzero needs no probe:
-it asks whether any summed (I, alpha + beta, M) coefficient of the
-single-orientation table of T o T survives.  TT_doubling ties that table
-to the real T o T on a random probe.
+it reads the composed raising tables of the real T o T (both
+orientations of every derivative pair) and asks whether any summed
+(I, alpha + beta, M) coefficient survives.  TT_doubling ties the real
+T o T to twice its single-orientation half on a random probe.
 
 The default case list sweeps every admissible increment for n in {2, 3}
 and k in {1, 2, 3} with the canonical orderings that exist there.
@@ -101,12 +102,23 @@ def _probe_degrees(spec: OperatorSpec):
 
 
 def _tt_nonzero(spec: OperatorSpec, q: int) -> bool:
-    """The single-orientation table of T o T at degree q has a coefficient
-    that does not cancel."""
+    """The real T o T at degree q has a summed (I, alpha + beta, M)
+    coefficient that does not cancel."""
     total = {}
-    for I, gamma, M, sign in operators._tt_table(spec, q):
-        total[I, gamma, M] = total.get((I, gamma, M), 0) + sign
+    for I, alpha, beta, M, sign in operators._tt_table(spec, q):
+        key = (I, tuple(x + y for x, y in zip(alpha, beta)), M)
+        total[key] = total.get(key, 0) + sign
     return any(total.values())
+
+
+def _first_entry_difference(t, cf) -> str:
+    """The first entry where the summation and closed-form tensors differ."""
+    if t.entries == cf.entries:
+        return ""
+    bad = next(k for k in sorted(set(t.entries) | set(cf.entries))
+               if t.entries.get(k, 0) != cf.entries.get(k, 0))
+    return (f"entry {bad}: summation {t.entries.get(bad, 0)} "
+            f"closed-form {cf.entries.get(bad, 0)}")
 
 
 def identity_suite(spec: OperatorSpec, rng: random.Random, deep=False):
@@ -164,29 +176,23 @@ def identity_suite(spec: OperatorSpec, rng: random.Random, deep=False):
         ok = (B - t.contract(H)).is_zero()
         rec(f"box_vs_tensor[q={q}]", ok,
             "" if ok else _first_difference(B, t.contract(H)))
-        cf = box_coeff_closed_form(spec, q)
-        if t.entries == cf.entries:
-            rec(f"tensor_closed_form[q={q}]", True)
-        else:
-            keys = set(t.entries) | set(cf.entries)
-            bad = next(k for k in sorted(keys)
-                       if t.entries.get(k, 0) != cf.entries.get(k, 0))
-            rec(f"tensor_closed_form[q={q}]", False,
-                f"entry {bad}: summation {t.entries.get(bad, 0)} "
-                f"closed-form {cf.entries.get(bad, 0)}")
-        sym = all(t.value(I, M, b, a) == v
-                  for (M, I, a, b), v in t.entries.items())
-        rec(f"tensor_symmetry[q={q}]", sym)
+        diff = _first_entry_difference(t, box_coeff_closed_form(spec, q))
+        rec(f"tensor_closed_form[q={q}]", not diff, diff)
+        asym = sorted(key for key, v in t.entries.items()
+                      if t.value(key[1], key[0], key[3], key[2]) != v)
+        rec(f"tensor_symmetry[q={q}]", not asym,
+            f"entry {asym[0]} differs from its swap" if asym else "")
         bound = all(abs(v) <= 2 for v in t.entries.values())
         rec(f"tensor_entry_bound[q={q}]", bound,
             "" if bound else "an entry exceeds 2 in absolute value")
         if spec.ell == 1:
             rec(f"tensor_kronecker[q={q}]", t.is_kronecker(),
                 "" if t.is_kronecker() else "ell=1 tensor is not the identity")
-        spot = list(sorted(t.entries.items()))[:4]
-        ok_spot = all(coeff_entry_direct(spec, q, M, I, a, b) == v
-                      for (M, I, a, b), v in spot)
-        rec(f"tensor_direct_spot[q={q}]", ok_spot)
+        spot = [(key, v, coeff_entry_direct(spec, q, *key))
+                for key, v in sorted(t.entries.items())[:4]]
+        bad = [f"entry {key}: tensor {v} direct sum {d}"
+               for key, v, d in spot if d != v]
+        rec(f"tensor_direct_spot[q={q}]", not bad, bad[0] if bad else "")
 
     # symbol action on integer waves
     xi = tuple(rng.randint(-3, 3) or 1 for _ in range(spec.n))
@@ -211,9 +217,10 @@ def identity_suite(spec: OperatorSpec, rng: random.Random, deep=False):
                     "" if lhs == rhs else f"{lhs} != {rhs}")
             except ArithmeticError as e:
                 rec(f"source_adjointness[q={q}]", False, str(e))
-        t = top_coeff_tensor(spec, min(spec.ell, spec.n))
-        cf = box_coeff_closed_form(spec, min(spec.ell, spec.n), top=True)
-        rec("source_tensor_closed_form", t.entries == cf.entries)
+        q = min(spec.ell, spec.n)
+        diff = _first_entry_difference(
+            top_coeff_tensor(spec, q), box_coeff_closed_form(spec, q, top=True))
+        rec("source_tensor_closed_form", not diff, diff)
 
     # reduction / lift dictionary at degree N - ell
     g = divergence_free_family(spec, rng, terms=3)
@@ -223,11 +230,14 @@ def identity_suite(spec: OperatorSpec, rng: random.Random, deep=False):
         rec("lift_closed", TF.is_zero(),
             "" if TF.is_zero() else _first_difference(TF))
         back = vs_reduction(spec, F)
-        same = (set(back) == set(g)
-                and all((back[a] - g[a]).is_zero() for a in g))
-        rec("reduction_roundtrip", same)
+        bad = [a for a in sorted(set(back) | set(g)) if a not in back
+               or a not in g or not (back[a] - g[a]).is_zero()]
+        rec("reduction_roundtrip", not bad,
+            f"g[{bad[0]}] does not come back" if bad else "")
         dd = divergence_defect(spec, g)
-        rec("divergence_defect_zero", dd is None or dd.is_zero())
+        rec("divergence_defect_zero", dd.is_zero(),
+            "" if dd.is_zero() else
+            f"first nonzero term {sorted(dd.terms.items())[0]}")
 
     # star involution sign law on its own probe and every Laplacian probe
     q = min(spec.ell, spec.N)

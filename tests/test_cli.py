@@ -191,6 +191,17 @@ def test_version_flag(capsys):
                  {"kind": "classical_gn", "n": 2, "trials": "3"}]},
      "probe 1 (classical_gn): trials must be a positive integer"),
     ({"seed": "4", "probes": []}, "config: seed must be an integer"),
+    ({"probes": [{"kind": "duality", "n": "2", "k": 1, "q": 1,
+                  "sigma_range": [0.25, 0.4]}]},
+     "probe 0 (duality): n must be an integer"),
+    ({"probes": [{"kind": "classical_gn", "n": 2, "P": "32"}]},
+     "probe 0 (classical_gn): P must be a positive integer"),
+    ({"probes": [{"kind": "gn", "n": 2, "k": 1, "ell": 1, "q": 0,
+                  "sigma_range": 0.3}]},
+     "probe 0 (gn): sigma_range must be a list of two positive numbers"),
+    ({"probes": [{"kind": "duality", "n": 2, "k": 1, "q": 1,
+                  "sigma_range": [0.25, 0.4], "lams": []}]},
+     "probe 0 (duality): lams must be a non-empty list of positive numbers"),
 ])
 def test_ineq_malformed_config_is_a_one_line_error(capsys, tmp_path, config,
                                                    message):
@@ -213,3 +224,11 @@ def test_symbol_scan_rejects_samples_below_one(capsys, samples):
     assert captured.out == ""
     assert captured.err == ("divcurl: error: samples must be at least 1, "
                             f"got {samples}\n")
+
+
+def test_symbol_zero_denominator_is_a_one_line_error(capsys):
+    code = main(["symbol", "2", "2", "1", "--xi", "1/0,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "divcurl: error: --xi 1/0,1: zero denominator\n"

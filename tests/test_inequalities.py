@@ -27,6 +27,7 @@ from divcurl.inequalities import (
 )
 from divcurl.operators import apply_T, apply_Top, spec_for
 from divcurl.randoms import random_trig_form
+from divcurl.trigpoly import TrigPoly
 
 
 def test_bump_periodization_and_dilation():
@@ -169,6 +170,13 @@ def test_reduction_and_lift_are_mutually_inverse():
         assert set(g2) == set(g)
         for alpha in g:
             assert (g2[alpha] - g[alpha]).is_zero()
+
+
+@pytest.mark.parametrize("key", [(2, 0, 0), (1, 0), (3, 0)])
+def test_lift_rejects_a_key_outside_the_multiindices(key):
+    spec = spec_for(2, 2, 2)  # N = 3, so (2, 0, 0) is (2, 0) embedded
+    with pytest.raises(ValueError, match="multiindices"):
+        vs_lift(spec, {key: TrigPoly.wave(2, (1, 0), 0, 1)})
 
 
 def test_reduction_of_closed_form_is_divergence_free():

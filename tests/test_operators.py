@@ -145,7 +145,9 @@ def test_composition_vanishes_iff_step_is_odd():
             F = random_trig_form(rng, spec.n, spec.N, q, components=3)
             assert compose_TT(spec, F).is_zero()
     # even step: nonzero, and equal to twice the ordered-orientation sum
-    for spec in [spec_for(3, 2, 2), spec_for(3, 3, 2)]:
+    even = [spec_for(3, 2, 2), spec_for(3, 3, 2)] + [
+        s for s in ADJOINT_SPECS if s.ell % 2 == 0 and s.ordering.kind == "random"]
+    for spec in even:
         for q in range(spec.N - 2 * spec.ell + 1):
             probe = wave(spec.n, tuple(range(1, spec.n + 1)), 0, 1)
             F = Form(spec.n, spec.N, q,
@@ -165,18 +167,21 @@ def test_composition_degree_guard():
 
 
 def test_tensor_triple_agreement():
-    """Summation tensor == closed form == direct entry evaluation."""
+    """Summation tensor == closed form == direct entry evaluation, on the
+    hybrid space and (when n >= ell) on the source space."""
     rng = random.Random(35)
-    for spec in SPECS:
-        for q in range(spec.N + 1):
-            A = box_coeff_tensor(spec, q)
-            B = box_coeff_closed_form(spec, q)
-            assert A.entries == B.entries
-            keys = list(A.entries)
-            for M, I, a, b in rng.sample(keys, min(6, len(keys))):
-                v = A.value(M, I, a, b)
-                assert v == coeff_entry_direct(spec, q, M, I, a, b)
-                assert v == coeff_entry_closed_form(spec, q, M, I, a, b)
+    cases = [(spec, q, False) for spec in ADJOINT_SPECS for q in range(spec.N + 1)]
+    cases += [(spec, q, True) for spec in ADJOINT_SPECS if spec.n >= spec.ell
+              for q in range(spec.n + 1)]
+    for spec, q, top in cases:
+        A = top_coeff_tensor(spec, q) if top else box_coeff_tensor(spec, q)
+        B = box_coeff_closed_form(spec, q, top=top)
+        assert A.entries == B.entries
+        keys = list(A.entries)
+        for M, I, a, b in rng.sample(keys, min(6, len(keys))):
+            v = A.value(M, I, a, b)
+            assert v == coeff_entry_direct(spec, q, M, I, a, b, top=top)
+            assert v == coeff_entry_closed_form(spec, q, M, I, a, b, top=top)
 
 
 def test_tensor_hand_computed_entry():

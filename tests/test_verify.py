@@ -66,21 +66,54 @@ def test_tt_nonzero_is_exact_for_a_thin_symbol():
     assert [r.name for r in records if not r.passed] == []
 
 
+def _flip_first(table):
+    return tuple((I, a, L, -s if j == 0 else s)
+                 for j, (I, a, L, s) in enumerate(table))
+
+
 # (module, name, corruption of the real one, record family that must fail);
-# a star flipped at q = 1 misses the own probe (q = 2), not the box probes
+# a star flipped at q = 1 misses the own probe (q = 2), not the box probes.
+# A flipped _t_table sign cancels in the squared diagonal entries, the only
+# ones at q = 0 and q = N, so the tensor is checked at q = 2.
 CORRUPTIONS = [
     (verify, "inner_product_wedge",
      lambda real: lambda F, G: real(F, G) + 1, "adjoint_routes"),
     (verify, "hodge_star",
      lambda real: lambda F: real(F).scale(-1 if F.q == 1 else 1), "star_involution"),
     (operators, "_tt_table", lambda real: lambda spec, q: real(spec, q) + tuple(
-        (I, g, M, -s) for I, g, M, s in real(spec, q)), "TT_nonzero"),
+        (I, a, b, M, -s) for I, a, b, M, s in real(spec, q)), "TT_nonzero"),
+    (operators, "_t_table", lambda real: lambda *key: _flip_first(real(*key)),
+     "tensor_closed_form[q=2]"),
+    (operators.CoeffTensor, "value",
+     lambda real: lambda t, *key: -real(t, *key), "tensor_symmetry"),
+    (verify, "coeff_entry_direct",
+     lambda real: lambda *args: real(*args) + 1, "tensor_direct_spot"),
+    (verify, "vs_reduction", lambda real: lambda spec, F: {
+        a: g.scale(-1) for a, g in real(spec, F).items()}, "reduction_roundtrip"),
+    (verify, "divergence_defect", lambda real: lambda spec, g: real(spec, g)
+     + next(iter(g.values())), "divergence_defect_zero"),
+    (verify, "top_coeff_tensor", lambda real: lambda spec, q: operators.CoeffTensor(
+        spec, q, True, {key: -v for key, v in real(spec, q).entries.items()}),
+     "source_tensor_closed_form"),
 ]
+
+
+@pytest.fixture
+def fresh_tables():
+    """Corrupted tables must neither meet cached tensors nor leave any."""
+    caches = (operators._t_table, operators.box_coeff_tensor,
+              operators.top_coeff_tensor)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.mark.parametrize("module, name, corrupt, family", CORRUPTIONS,
                          ids=[c[3] for c in CORRUPTIONS])
-def test_folded_checks_fire_on_corruption(monkeypatch, module, name, corrupt, family):
+def test_folded_checks_fire_on_corruption(fresh_tables, monkeypatch, module,
+                                          name, corrupt, family):
     monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
     records = identity_suite(operators.spec_for(3, 2, 2), random.Random(0))
     hit = [r for r in records if r.name.startswith(family)]
