@@ -217,11 +217,10 @@ def hodge_star(F: Form) -> Form:
     """Hodge star: the I coefficient lands on I' with sign epsilon^{I I'}."""
     out = {}
     for lab, c in F.coeffs.items():
-        comp, _ = complement(lab, F.N)
-        sign = perm_sign_between(lab + comp, tuple(range(1, F.N + 1)))
+        comp, sign = complement(lab, F.N)  # sign = epsilon^{I' I}
+        if (F.q * (F.N - F.q)) % 2:
+            sign = -sign
         out[comp] = c.scale(sign) if sign != 1 else c
-        if sign == 0:
-            raise AssertionError("complement produced an invalid permutation")
     return Form(F.n, F.N, F.N - F.q, out, backend=F.backend)
 
 
@@ -437,7 +436,9 @@ def pullback_linear(F: Form, A, center=None) -> Form:
     P = F.grid_P()
     pts = grid_points(n, P).reshape(-1, n)
     mapped = (pts - center) @ A.T + center
-    evaluators = {lab: _fourier_eval(F.coeffs[lab], mapped) for lab in F.coeffs}
+    ks = np.fft.fftfreq(P, d=1.0 / P)
+    phases = [np.exp(1j * np.outer(mapped[:, axis], ks)) for axis in range(n)]
+    evaluators = {lab: _fourier_eval(c, phases) for lab, c in F.coeffs.items()}
     out = {}
     for labJ in labels(n, F.q):
         acc = np.zeros(P ** n)
@@ -457,13 +458,16 @@ def pullback_linear(F: Form, A, center=None) -> Form:
     return Form(n, n, F.q, out, backend="grid")
 
 
-def _fourier_eval(field: GridField, points: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of a grid field at arbitrary
-    points (M, n) by separable mode summation."""
+def _fourier_eval(field: GridField, phases) -> np.ndarray:
+    """Evaluate the trigonometric interpolant of a grid field at M points
+    by separable mode summation; phases[axis] is the (M, P) table
+    exp(i x_axis k) over k in fftfreq order.
+
+    This takes the full complex spectrum rather than the field's half
+    spectrum: off the grid the interpolant depends on where the Nyquist
+    mode sits, and fftn puts it at -P/2."""
     n, P = field.n, field.P
     spec = np.fft.fftn(field.samples) / (P ** n)
-    ks = np.fft.fftfreq(P, d=1.0 / P)
-    phases = [np.exp(1j * np.outer(points[:, axis], ks)) for axis in range(n)]
     letters = "abcdefg"[:n]
     expr = ",".join(f"p{letters[axis]}" for axis in range(n))
     expr += f",{letters}->p"

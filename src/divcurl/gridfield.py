@@ -1,10 +1,25 @@
 """Real sample grids on the torus with spectral calculus.
 
-A GridField holds real float64 samples on the uniform P^n grid of
-[0, 2pi)^n with P a power of two.  Derivatives are Fourier multipliers,
-the mean of the samples is the normalized integral, and products are
-pointwise.  Sample arrays are marked read-only; all operations return new
-fields.
+A GridField is a real float64 function on the uniform P^n grid of
+[0, 2pi)^n with P a power of two.  It holds its samples, its half
+spectrum (numpy's rfftn layout: the last axis runs over frequencies
+0..P/2 only, the rest being fixed by conjugate symmetry), or both:
+
+* spectrum() returns the half spectrum, computing rfftn if the field
+  holds none;
+* a field built by from_spectrum, as every derivative, operator output
+  and spectral solve is, computes its samples by irfftn when they are
+  first read and keeps them after that.  Chained spectral operators
+  therefore never return to samples in between;
+* a field built from samples does not keep its forward transform.
+  Inputs are often held for a whole computation and transformed only a
+  few times; keeping their spectra would double the memory they hold.
+
+Derivatives are Fourier multipliers on the half spectrum.  +, - and
+scale work on spectra when every operand has one and at least one lacks
+samples, and on samples otherwise.  Pointwise products, the mean (the
+normalized integral), norms and serialization read samples.  Arrays are
+marked read-only; all operations return new fields.
 """
 
 from __future__ import annotations
@@ -38,19 +53,32 @@ def grid_points(n: int, P: int) -> np.ndarray:
     return np.stack(mesh, axis=-1)
 
 
+def _half_shape(n: int, P: int) -> tuple:
+    """Shape of the rfftn half spectrum of a P^n grid."""
+    return (P,) * (n - 1) + (P // 2 + 1,)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array = np.ascontiguousarray(array)
+    array.flags.writeable = False
+    return array
+
+
 @lru_cache(maxsize=64)
 def _deriv_multiplier(n: int, P: int, alpha: tuple) -> np.ndarray:
-    """Fourier multiplier of the mixed partial d^alpha on the full spectrum.
+    """Fourier multiplier of the mixed partial d^alpha on the half spectrum.
 
-    The Nyquist mode is zeroed for odd one-axis orders so differentiation
-    maps real fields to real fields."""
-    mult = np.ones((P,) * n, dtype=complex)
-    ks = int_freqs(P)
+    Every axis runs over int_freqs(P) except the last, which runs over
+    0..P/2 as in rfftn.  The Nyquist mode is zeroed for odd one-axis
+    orders so differentiation maps real fields to real fields; even
+    orders keep (i P/2)^order."""
+    mult = np.ones(_half_shape(n, P), dtype=complex)
     for axis, order in enumerate(alpha):
         if order == 0:
             continue
+        ks = int_freqs(P) if axis < n - 1 else np.arange(P // 2 + 1)
         shape = [1] * n
-        shape[axis] = P
+        shape[axis] = ks.size
         k = ks.reshape(shape).astype(float)
         factor = (1j * k) ** order
         if order % 2 == 1:
@@ -60,19 +88,40 @@ def _deriv_multiplier(n: int, P: int, alpha: tuple) -> np.ndarray:
     return mult
 
 
+def _spectral(*fields) -> bool:
+    """Whether +, - or scale on fields runs on their half spectra: each
+    carries one and at least one would need an inverse transform."""
+    return (all(f._spectrum is not None for f in fields)
+            and any(f._samples is None for f in fields))
+
+
 class GridField:
-    __slots__ = ("n", "P", "samples")
+    __slots__ = ("n", "P", "_samples", "_spectrum")
 
     def __init__(self, n: int, P: int, samples: np.ndarray):
         _check_P(P)
         samples = np.asarray(samples, dtype=float)
         if samples.shape != (P,) * n:
             raise ValueError(f"expected shape {(P,) * n}, got {samples.shape}")
-        samples = np.ascontiguousarray(samples)
-        samples.flags.writeable = False
         self.n = n
         self.P = P
-        self.samples = samples
+        self._samples = _frozen(samples)
+        self._spectrum = None
+
+    @classmethod
+    def from_spectrum(cls, n: int, P: int, sp: np.ndarray) -> "GridField":
+        """The field with rfftn half spectrum sp; its samples are computed
+        when first read."""
+        _check_P(P)
+        sp = np.asarray(sp, dtype=complex)
+        if sp.shape != _half_shape(n, P):
+            raise ValueError(f"expected shape {_half_shape(n, P)}, got {sp.shape}")
+        field = cls.__new__(cls)
+        field.n = n
+        field.P = P
+        field._samples = None
+        field._spectrum = _frozen(sp)
+        return field
 
     @classmethod
     def zero(cls, n, P):
@@ -82,8 +131,26 @@ class GridField:
     def const(cls, n, P, value):
         return cls(n, P, np.full((P,) * n, float(value)))
 
+    @property
+    def samples(self) -> np.ndarray:
+        if self._samples is None:
+            shape = (self.P,) * self.n
+            self._samples = _frozen(np.fft.irfftn(
+                self._spectrum, s=shape, axes=tuple(range(self.n))))
+        return self._samples
+
+    def spectrum(self) -> np.ndarray:
+        """The rfftn half spectrum; transformed afresh (and not kept) when
+        the field was built from samples."""
+        if self._spectrum is not None:
+            return self._spectrum
+        return np.fft.rfftn(self._samples)
+
     def _like(self, samples):
         return GridField(self.n, self.P, samples)
+
+    def _like_spectrum(self, sp):
+        return GridField.from_spectrum(self.n, self.P, sp)
 
     def _check_compat(self, other):
         if self.n != other.n or self.P != other.P:
@@ -93,17 +160,27 @@ class GridField:
         if not isinstance(other, GridField):
             return NotImplemented
         self._check_compat(other)
+        if _spectral(self, other):
+            return self._like_spectrum(self._spectrum + other._spectrum)
         return self._like(self.samples + other.samples)
 
     def __sub__(self, other):
+        if not isinstance(other, GridField):
+            return NotImplemented
         self._check_compat(other)
+        if _spectral(self, other):
+            return self._like_spectrum(self._spectrum - other._spectrum)
         return self._like(self.samples - other.samples)
 
     def __neg__(self):
-        return self._like(-self.samples)
+        if _spectral(self):
+            return self._like_spectrum(-self._spectrum)
+        return self._like(-self._samples)
 
     def scale(self, factor):
-        return self._like(self.samples * float(factor))
+        if _spectral(self):
+            return self._like_spectrum(self._spectrum * float(factor))
+        return self._like(self._samples * float(factor))
 
     def __mul__(self, other):
         if isinstance(other, GridField):
@@ -112,9 +189,6 @@ class GridField:
         return self.scale(other)
 
     __rmul__ = __mul__
-
-    def spectrum(self) -> np.ndarray:
-        return np.fft.fftn(self.samples)
 
     def diff_alpha(self, alpha) -> "GridField":
         alpha = tuple(alpha)
@@ -126,7 +200,7 @@ class GridField:
         if all(a == 0 for a in alpha):
             return self
         mult = _deriv_multiplier(self.n, self.P, alpha)
-        return self._like(np.fft.ifftn(self.spectrum() * mult).real)
+        return self._like_spectrum(self.spectrum() * mult)
 
     def diff(self, axis: int) -> "GridField":
         alpha = [0] * self.n

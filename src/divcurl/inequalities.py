@@ -272,12 +272,16 @@ def scalar_symbol_array(spec: OperatorSpec, P) -> np.ndarray:
     """sigma(omega) = sum_alpha |m_alpha(omega)|^2 built from the discrete
     derivative multipliers (including their Nyquist handling), so that the
     spectral inverse is exact against the grid operators.  Away from the
-    Nyquist modes this equals sum_alpha omega^{2 alpha}."""
+    Nyquist modes this equals sum_alpha omega^{2 alpha}.
+
+    The array has the half-spectrum layout of GridField.spectrum(): the
+    last axis runs over frequencies 0..P/2, the others over int_freqs(P).
+    """
     if spec.ell != 1:
         raise ValueError("scalar symbol requires ell = 1")
     from .gridfield import _deriv_multiplier
 
-    sig = np.zeros((P,) * spec.n)
+    sig = 0.0
     for alpha in multiindices(spec.n, spec.k):
         sig = sig + np.abs(_deriv_multiplier(spec.n, P, tuple(alpha))) ** 2
     return sig
@@ -336,19 +340,18 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
     for extra in pieces[1:]:
         rhs = rhs + extra
 
+    # modes where sigma vanishes (the zero mode, and Nyquist modes that
+    # every multiplier drops) are mapped to 0
     sig = scalar_symbol_array(spec, P)
-    zero = (0,) * n
+    mask = sig > 0
     coeffs = {}
     for lab in labels(N, q):
         c = rhs.coeffs.get(lab)
         if c is None:
             continue
-        spectrum = np.fft.fftn(c.samples)
-        out = np.zeros_like(spectrum)
-        mask = sig > 0
-        out[mask] = spectrum[mask] / sig[mask]
-        out[zero] = 0.0
-        coeffs[lab] = GridField(n, P, np.fft.ifftn(out).real)
+        spectrum = c.spectrum()
+        out = np.divide(spectrum, sig, out=np.zeros_like(spectrum), where=mask)
+        coeffs[lab] = GridField.from_spectrum(n, P, out)
     Z = (Form(n, N, q, coeffs, backend="grid") if coeffs
          else zero_form(n, N, q, backend="grid", P=P))
 

@@ -200,17 +200,22 @@ def _apply_table(F: Form, entries, out_q: int, width: int, overall=1) -> Form:
 def _apply_table_grid(F: Form, entries, out_q, width, overall) -> Form:
     n = F.n
     P = F.grid_P()
-    spectra = {lab: np.fft.fftn(c.samples) for lab, c in F.coeffs.items()}
+    spectra = {lab: c.spectrum() for lab, c in F.coeffs.items()}
     acc = {}
     for I, alpha, OUT, sign in entries:
         sp = spectra.get(I)
         if sp is None:
             continue
-        mult = _deriv_multiplier(n, P, tuple(alpha))
-        term = sign * (sp * mult)
-        acc[OUT] = acc[OUT] + term if OUT in acc else term
-    coeffs = {OUT: GridField(n, P, np.fft.ifftn(sp).real * overall)
-              for OUT, sp in acc.items()}
+        # a fresh array, so it is scaled and accumulated in place
+        term = sp * _deriv_multiplier(n, P, tuple(alpha))
+        factor = sign * overall
+        if factor != 1:
+            term *= factor
+        if OUT in acc:
+            acc[OUT] += term
+        else:
+            acc[OUT] = term
+    coeffs = {OUT: GridField.from_spectrum(n, P, sp) for OUT, sp in acc.items()}
     if not coeffs:
         return zero_form(n, width, out_q, backend="grid", P=P)
     return Form(n, width, out_q, coeffs, backend="grid")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from divcurl.gridfield import GridField, grid_points, int_freqs
+from divcurl.gridfield import GridField, _deriv_multiplier, grid_points, int_freqs
 
 
 def wave_field(n, P, freq, phase=0.0):
@@ -42,6 +42,30 @@ def test_nyquist_convention_odd_orders_vanish():
     assert np.max(np.abs(f.diff_alpha((2,)).samples - d2)) < 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("last", [False, True])
+def test_nyquist_convention_on_every_axis(n, last):
+    """The same rule on the last axis, which the half spectrum stores for
+    frequencies 0..P/2 only, and on an axis it stores whole: odd orders
+    along x_j drop cos(P/2 x_j + x_m), even orders keep (i P/2)^order.
+    The wave also runs along another axis m: on a non-last axis an odd
+    Nyquist multiplier left unzeroed would not cancel in the inverse real
+    transform.  On the last axis that transform drops it anyway, so the
+    multiplier itself is checked too (scalar_symbol_array reads it)."""
+    P = 16
+    j, m = (n - 1, 0) if last else (0, n - 1)
+    f = wave_field(n, P, tuple(P // 2 if t == j else int(t == m)
+                               for t in range(n)))
+    for order in (1, 2, 3, 4):
+        alpha = tuple(order if t == j else 0 for t in range(n))
+        want = 0.0 if order % 2 else (-1) ** (order // 2) * (P // 2) ** order
+        tol = 1e-12 * (P // 2) ** order
+        got = f.diff_alpha(alpha)
+        assert np.max(np.abs(got.samples - want * f.samples)) < tol
+        nyquist = np.take(_deriv_multiplier(n, P, alpha), P // 2, axis=j)
+        assert np.max(np.abs(nyquist - want)) < tol
+
+
 def test_diff_alpha_embedded_guard():
     f = wave_field(2, 16, (1, 1))
     assert np.allclose(f.diff_alpha((1, 0, 0)).samples, f.diff(0).samples)
@@ -57,6 +81,32 @@ def test_mean_and_arithmetic():
     assert abs(g.mean() - 2.5) < 1e-15
     assert np.allclose((f + g - f).samples, g.samples)
     assert np.max(np.abs((f * 0.0).samples)) == 0.0
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(TypeError):
+            op(f, 1.0)
+
+
+def test_half_spectrum_fields():
+    """Operator outputs carry the rfftn half spectrum and read samples
+    lazily; sample-built inputs keep no forward transform."""
+    rng = np.random.default_rng(2)
+    f = GridField(2, 16, rng.normal(size=(16, 16)))
+    sp = f.spectrum()
+    assert sp.shape == (16, 9) and f._spectrum is None
+    g = GridField.from_spectrum(2, 16, sp)
+    assert g._samples is None
+    assert np.max(np.abs(g.samples - f.samples)) < 1e-14
+    assert g.samples is g.samples
+    d, e = f.diff(0), f.diff(1)
+    for out, want in [(d + e, lambda: d.samples + e.samples),
+                      (d - e, lambda: d.samples - e.samples),
+                      (-d, lambda: -d.samples),
+                      (d.scale(2.5), lambda: 2.5 * d.samples)]:
+        assert out._samples is None  # computed on the spectra
+        assert np.max(np.abs(out.samples - want())) < 1e-12
+    assert np.max(np.abs((d - f).samples - (d.samples - f.samples))) < 1e-13
+    with pytest.raises(ValueError):
+        GridField.from_spectrum(2, 16, np.zeros((16, 16), dtype=complex))
 
 
 def test_serialization_roundtrip_bitwise():

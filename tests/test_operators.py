@@ -16,6 +16,7 @@ from divcurl.operators import (
     apply_T_star_coordinate,
     apply_Top,
     apply_Top_star,
+    apply_Top_star_coordinate,
     box_apply,
     box_apply_top,
     box_coeff_closed_form,
@@ -135,6 +136,34 @@ def test_source_adjointness():
                 rng, spec.n, spec.n, q + spec.ell, components=2)
             assert inner_product(apply_Top(spec, f), g) == \
                 inner_product(f, apply_Top_star(spec, g))
+
+
+def test_source_adjoint_routes_agree_on_both_backends():
+    rng = random.Random(36)
+    for spec in ADJOINT_SPECS:
+        if spec.n < spec.ell:
+            continue
+        for q in range(spec.ell, spec.n + 1):
+            h = random_trig_form(rng, spec.n, spec.n, q, components=2)
+            coordinate = apply_Top_star_coordinate(spec, h)
+            assert (coordinate - apply_Top_star(spec, h)).is_zero()
+            hg = sample_form(h, 16)
+            diff = apply_Top_star_coordinate(spec, hg) - apply_Top_star(spec, hg)
+            scale = max(form_max_abs(sample_form(coordinate, 16)), 1.0)
+            assert form_max_abs(diff) < 1e-10 * scale
+
+
+def test_source_coordinate_adjoint_guards():
+    spec = spec_for(3, 2, 2)
+    h = Form(3, 3, 2, {(1, 2): wave(3, (1, 0, 1))}, backend="trig")
+    with pytest.raises(ValueError, match="source forms live over N == n"):
+        apply_Top_star_coordinate(spec, Form(3, 4, 2, {}, backend="trig"))
+    with pytest.raises(ValueError, match="adjoint needs degree q >= ell"):
+        apply_Top_star_coordinate(spec, Form(3, 3, 1, {}, backend="trig"))
+    thin = spec_for(2, 3, 3)  # n = 2 < ell = 3
+    with pytest.raises(ValueError, match="source operator is trivial"):
+        apply_Top_star_coordinate(thin, Form(2, 2, 2, {}, backend="trig"))
+    assert not apply_Top_star_coordinate(spec, h).is_zero()
 
 
 def test_composition_vanishes_iff_step_is_odd():
