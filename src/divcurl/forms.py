@@ -15,7 +15,9 @@ Conventions fixed here and used throughout:
   with sign epsilon^{I I'}_{(1..N)};
 * Lp norms aggregate components pointwise in little-l2 before taking the
   p-th power, while Sobolev norms p-sum the per-component, per-derivative
-  Lp norms.
+  Lp norms;
+* a grid form carries its resolution P even when it has no coefficients,
+  so zero results keep it; an exact form has P = None.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gridfield import GridField, grid_points
+from .gridfield import GridField, _check_P, grid_points
 from .multiindex import (
     complement,
     labels,
@@ -52,9 +54,12 @@ __all__ = [
 
 
 class Form:
-    __slots__ = ("n", "N", "q", "coeffs", "backend")
+    """A q-form over N slots; P is the grid resolution of a grid form,
+    read from its coefficients and needed only when it has none."""
 
-    def __init__(self, n, N, q, coeffs, backend=None):
+    __slots__ = ("n", "N", "q", "coeffs", "backend", "P")
+
+    def __init__(self, n, N, q, coeffs, backend=None, P=None):
         if not (1 <= n <= N):
             raise ValueError("need 1 <= n <= N")
         if not (0 <= q <= N):
@@ -88,9 +93,19 @@ class Form:
             Ps = {c.P for c in clean.values()}
             if len(Ps) > 1:
                 raise ValueError("mixed grid resolutions in one form")
+            if P is None:
+                if not Ps:
+                    raise ValueError("a grid form with no coefficients needs P")
+                P = Ps.pop()
+            elif Ps - {P}:
+                raise ValueError(f"P={P} disagrees with the coefficients")
+            _check_P(P)
+        elif P is not None:
+            raise ValueError("an exact form has no grid resolution")
         self.n, self.N, self.q = n, N, q
         self.coeffs = clean
         self.backend = backend
+        self.P = P
 
     # ---- basic structure -------------------------------------------------
 
@@ -106,14 +121,12 @@ class Form:
     def _zero_coeff(self):
         if self.backend == "trig":
             return TrigPoly.zero(self.n)
-        return GridField.zero(self.n, self.grid_P())
+        return GridField.zero(self.n, self.P)
 
     def grid_P(self):
         if self.backend != "grid":
             raise ValueError("not a grid-backed form")
-        for c in self.coeffs.values():
-            return c.P
-        raise ValueError("a grid form with no coefficients has no resolution")
+        return self.P
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs.values())
@@ -123,7 +136,7 @@ class Form:
         out = dict(self.coeffs)
         for lab, c in other.coeffs.items():
             out[lab] = out[lab] + c if lab in out else c
-        return Form(self.n, self.N, self.q, out, backend=self.backend)
+        return Form(self.n, self.N, self.q, out, self.backend, self.P)
 
     def __sub__(self, other):
         return self + (-other)
@@ -131,12 +144,12 @@ class Form:
     def __neg__(self):
         return Form(self.n, self.N, self.q,
                     {lab: -c for lab, c in self.coeffs.items()},
-                    backend=self.backend)
+                    self.backend, self.P)
 
     def scale(self, factor):
         return Form(self.n, self.N, self.q,
                     {lab: c.scale(factor) for lab, c in self.coeffs.items()},
-                    backend=self.backend)
+                    self.backend, self.P)
 
     def _check_shape(self, other):
         if not isinstance(other, Form):
@@ -148,6 +161,8 @@ class Form:
             )
         if self.coeffs and other.coeffs and self.backend != other.backend:
             raise ValueError("backend mismatch")
+        if None not in (self.P, other.P) and self.P != other.P:
+            raise ValueError("grid resolution mismatch")
 
     def __eq__(self, other):
         if not isinstance(other, Form):
@@ -165,7 +180,7 @@ class Form:
     # ---- serialization -----------------------------------------------------
 
     def to_obj(self):
-        return {
+        obj = {
             "n": self.n,
             "N": self.N,
             "q": self.q,
@@ -173,21 +188,20 @@ class Form:
             "coeffs": [[list(lab), c.to_obj()]
                        for lab, c in sorted(self.coeffs.items())],
         }
+        if self.P is not None:
+            obj["P"] = self.P
+        return obj
 
     @classmethod
     def from_obj(cls, obj):
         maker = TrigPoly.from_obj if obj["backend"] == "trig" else GridField.from_obj
         coeffs = {tuple(lab): maker(c) for lab, c in obj["coeffs"]}
-        return cls(obj["n"], obj["N"], obj["q"], coeffs, backend=obj["backend"])
+        return cls(obj["n"], obj["N"], obj["q"], coeffs, obj["backend"],
+                   obj.get("P"))
 
 
 def zero_form(n, N, q, backend="trig", P=None) -> Form:
-    f = Form(n, N, q, {}, backend=backend)
-    if backend == "grid" and P is not None:
-        # materialize one explicit zero so the resolution is recoverable
-        lab = labels(N, q)[0]
-        return Form(n, N, q, {lab: GridField.zero(n, P)}, backend="grid")
-    return f
+    return Form(n, N, q, {}, backend, P)
 
 
 # ---- calculus ---------------------------------------------------------------
@@ -206,11 +220,11 @@ def partial(F: Form, alpha) -> Form:
     if any(a < 0 for a in alpha):
         raise ValueError("negative derivative order")
     if any(alpha[F.n:]):
-        return Form(F.n, F.N, F.q, {}, backend=F.backend)
+        return Form(F.n, F.N, F.q, {}, F.backend, F.P)
     alpha = alpha[: F.n]
     return Form(F.n, F.N, F.q,
                 {lab: c.diff_alpha(alpha) for lab, c in F.coeffs.items()},
-                backend=F.backend)
+                F.backend, F.P)
 
 
 def hodge_star(F: Form) -> Form:
@@ -221,7 +235,7 @@ def hodge_star(F: Form) -> Form:
         if (F.q * (F.N - F.q)) % 2:
             sign = -sign
         out[comp] = c.scale(sign) if sign != 1 else c
-    return Form(F.n, F.N, F.N - F.q, out, backend=F.backend)
+    return Form(F.n, F.N, F.N - F.q, out, F.backend, F.P)
 
 
 def wedge(F: Form, G: Form) -> Form:
@@ -233,7 +247,7 @@ def wedge(F: Form, G: Form) -> Form:
     qr = F.q + G.q
     if qr > F.N:
         # identically zero; represented as the empty top-degree form
-        return Form(F.n, F.N, F.N, {}, backend=F.backend)
+        return Form(F.n, F.N, F.N, {}, F.backend, F.P)
     out = {}
     for labA, cA in F.coeffs.items():
         setA = set(labA)
@@ -244,7 +258,7 @@ def wedge(F: Form, G: Form) -> Form:
             sign = perm_sign_between(labA + labB, target)
             term = (cA * cB).scale(sign) if sign != 1 else cA * cB
             out[target] = out[target] + term if target in out else term
-    return Form(F.n, F.N, qr, out, backend=F.backend)
+    return Form(F.n, F.N, qr, out, F.backend, F.P)
 
 
 def _integral(c):
@@ -287,15 +301,24 @@ def _auto_P(F: Form, p) -> int:
     return P
 
 
-def _stack_samples(F: Form, P=None) -> np.ndarray:
-    """(components, grid...) array of samples of all coefficients."""
+def _samples(F: Form, P=None) -> list:
+    """Sample arrays of the coefficients, in label order."""
     labs = sorted(F.coeffs)
     if F.backend == "grid":
-        return np.stack([F.coeffs[lab].samples for lab in labs]) if labs else \
-            np.zeros((0,) + (2,) * F.n)
+        return [F.coeffs[lab].samples for lab in labs]
     P = P or _auto_P(F, 2)
-    return np.stack([F.coeffs[lab].sample(P) for lab in labs]) if labs else \
-        np.zeros((0,) + (P,) * F.n)
+    return [F.coeffs[lab].sample(P) for lab in labs]
+
+
+def _l2_lp(comps, p) -> float:
+    """Lp norm of the pointwise little-l2 magnitude of the component
+    arrays, their squares summed in order."""
+    if not comps:
+        return 0.0
+    mag2 = comps[0] * comps[0]
+    for comp in comps[1:]:
+        mag2 += comp * comp
+    return float(np.mean(mag2 ** (p / 2.0)) ** (1.0 / p))
 
 
 def lp_norm(F: Form, p, P=None) -> float:
@@ -307,11 +330,7 @@ def lp_norm(F: Form, p, P=None) -> float:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if not F.coeffs:
-        return 0.0
-    stack = _stack_samples(F, P)
-    mag2 = np.sum(stack * stack, axis=0)
-    return float(np.mean(mag2 ** (p / 2.0)) ** (1.0 / p))
+    return _l2_lp(_samples(F, P), p)
 
 
 def sobolev_norm(F: Form, a, p, P=None) -> float:
@@ -322,11 +341,7 @@ def sobolev_norm(F: Form, a, p, P=None) -> float:
     total = 0.0
     for s in range(a + 1):
         for beta in multiindices(F.n, s):
-            D = partial(F, beta)
-            if not D.coeffs:
-                continue
-            stack = _stack_samples(D, P)
-            for comp in stack:
+            for comp in _samples(partial(F, beta), P):
                 total += float(np.mean(np.abs(comp) ** p))
     return total ** (1.0 / p)
 
@@ -334,17 +349,14 @@ def sobolev_norm(F: Form, a, p, P=None) -> float:
 def grad_lp_norm(F: Form, p, P=None) -> float:
     """Lp norm of the full first derivative array, aggregated pointwise in
     little-l2 over both the component and the differentiation axis."""
-    if not F.coeffs:
-        return 0.0
-    pieces = []
+    if F.backend == "trig":
+        # one grid for every partial: F's bandwidth bounds each of theirs
+        P = P or _auto_P(F, 2)
+    comps = []
     for axis in range(F.n):
         e = tuple(1 if t == axis else 0 for t in range(F.n))
-        pieces.append(_stack_samples(partial(F, e), P))
-    stack = np.concatenate([s for s in pieces if s.size], axis=0)
-    if stack.size == 0:
-        return 0.0
-    mag2 = np.sum(stack * stack, axis=0)
-    return float(np.mean(mag2 ** (p / 2.0)) ** (1.0 / p))
+        comps += _samples(partial(F, e), P)
+    return _l2_lp(comps, p)
 
 
 # ---- change of variables ------------------------------------------------------
@@ -453,9 +465,7 @@ def pullback_linear(F: Form, A, center=None) -> Form:
             hit = True
         if hit:
             out[labJ] = GridField(n, P, acc.reshape((P,) * n))
-    if not out:
-        return zero_form(n, n, F.q, backend="grid", P=P)
-    return Form(n, n, F.q, out, backend="grid")
+    return Form(n, n, F.q, out, "grid", P)
 
 
 def _fourier_eval(field: GridField, phases) -> np.ndarray:
@@ -480,9 +490,7 @@ def sample_form(F: Form, P: int) -> Form:
     if F.backend != "trig":
         raise ValueError("sample_form expects a TrigPoly-backed form")
     out = {lab: GridField(F.n, P, c.sample(P)) for lab, c in F.coeffs.items()}
-    if not out:
-        return zero_form(F.n, F.N, F.q, backend="grid", P=P)
-    return Form(F.n, F.N, F.q, out, backend="grid")
+    return Form(F.n, F.N, F.q, out, "grid", P)
 
 
 def form_max_abs(F: Form) -> float:

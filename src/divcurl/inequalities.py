@@ -38,7 +38,6 @@ from .forms import (
     inner_product,
     lp_norm,
     sobolev_norm,
-    zero_form,
 )
 from .gridfield import GridField, int_freqs
 from .multiindex import labels, multiindices
@@ -123,9 +122,7 @@ def bump_field(n, P, bumps) -> GridField:
 def bump_form(n, N, q, spec_map, P) -> Form:
     """Assemble a grid form from {label: [BumpSpec, ...]}."""
     coeffs = {lab: bump_field(n, P, bumps) for lab, bumps in spec_map.items() if bumps}
-    if not coeffs:
-        return zero_form(n, N, q, backend="grid", P=P)
-    return Form(n, N, q, coeffs, backend="grid")
+    return Form(n, N, q, coeffs, "grid", P)
 
 
 def random_bump_spec(rng: random.Random, n, sigma_range=(0.25, 0.4), spread=1.2):
@@ -352,8 +349,7 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
         spectrum = c.spectrum()
         out = np.divide(spectrum, sig, out=np.zeros_like(spectrum), where=mask)
         coeffs[lab] = GridField.from_spectrum(n, P, out)
-    Z = (Form(n, N, q, coeffs, backend="grid") if coeffs
-         else zero_form(n, N, q, backend="grid", P=P))
+    Z = Form(n, N, q, coeffs, "grid", P)
 
     if F is not None:
         info["residual_T"] = lp_norm(_apply(spec, Z, top=False, adjoint=False) - F, 2)
@@ -404,9 +400,7 @@ def vs_lift(spec: OperatorSpec, g: dict, backend="trig", P=None) -> Form:
                              f"multiindices({spec.n}, {spec.k})")
         I, sign = complements[alpha]
         coeffs[I] = fn.scale(sign)
-    if not coeffs:
-        return zero_form(spec.n, spec.N, q, backend=backend, P=P)
-    return Form(spec.n, spec.N, q, coeffs, backend=backend)
+    return Form(spec.n, spec.N, q, coeffs, backend, P)
 
 
 def divergence_defect(spec: OperatorSpec, g: dict):

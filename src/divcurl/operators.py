@@ -216,15 +216,7 @@ def _apply_table_grid(F: Form, entries, out_q, width, overall) -> Form:
         else:
             acc[OUT] = term
     coeffs = {OUT: GridField.from_spectrum(n, P, sp) for OUT, sp in acc.items()}
-    if not coeffs:
-        return zero_form(n, width, out_q, backend="grid", P=P)
-    return Form(n, width, out_q, coeffs, backend="grid")
-
-
-def _zero_like(F: Form, width: int, q: int) -> Form:
-    """The zero q-form on F's backend, at F's grid resolution."""
-    P = F.grid_P() if F.backend == "grid" else None
-    return zero_form(F.n, width, q, backend=F.backend, P=P)
+    return Form(n, width, out_q, coeffs, "grid", P)
 
 
 def _apply(spec: OperatorSpec, F: Form, top: bool, adjoint: bool) -> Form:
@@ -236,7 +228,7 @@ def _apply(spec: OperatorSpec, F: Form, top: bool, adjoint: bool) -> Form:
     width = _width(spec, top)
     out_q = F.q - spec.ell if adjoint else F.q + spec.ell
     if not 0 <= out_q <= width:
-        return _zero_like(F, width, min(max(out_q, 0), width))
+        return zero_form(F.n, width, min(max(out_q, 0), width), F.backend, F.P)
     if adjoint:
         return _apply_table(F, _tstar_table(spec, F.q, top), out_q, width,
                             overall=(-1) ** spec.k)
@@ -275,30 +267,30 @@ def _star_conjugate(spec, H, top: bool) -> Form:
     return hodge_star(mid).scale(sign)
 
 
-def _checked_adjoint(spec: OperatorSpec, H: Form, top: bool, check) -> Form:
+def _checked_adjoint(spec: OperatorSpec, H: Form, top: bool) -> Form:
     """Star-conjugate adjoint with the coordinate-route cross-check of
     apply_T_star, on the hybrid or (top=True) the source space."""
     _check_space(spec, H, top)
     if H.q < spec.ell:
         raise ValueError("adjoint needs degree q >= ell")
     out = _star_conjugate(spec, H, top)
-    if check is None:
-        check = H.backend == "trig"
-    if check and not (out - _apply(spec, H, top=top, adjoint=True)).is_zero():
+    if (H.backend == "trig"
+            and not (out - _apply(spec, H, top=top, adjoint=True)).is_zero()):
         raise ArithmeticError(
             "adjoint routes disagree; an epsilon or sign table is corrupt"
         )
     return out
 
 
-def apply_T_star(spec: OperatorSpec, H: Form, check=None) -> Form:
+def apply_T_star(spec: OperatorSpec, H: Form) -> Form:
     """Adjoint of apply_T via star conjugation.
 
-    On the exact backend (or with check=True) the coordinate route is
-    evaluated as well and any disagreement raises; the two routes are
-    algebraically identical, so a mismatch means a sign fault somewhere.
+    On the exact backend the coordinate route is evaluated as well and any
+    disagreement raises; the two routes are algebraically identical, so a
+    mismatch means a sign fault somewhere.  Grid forms are not
+    cross-checked: their rounding would make an exact comparison fail.
     """
-    return _checked_adjoint(spec, H, False, check)
+    return _checked_adjoint(spec, H, False)
 
 
 def apply_Top(spec: OperatorSpec, f: Form) -> Form:
@@ -322,9 +314,10 @@ def apply_Top_star_coordinate(spec: OperatorSpec, h: Form) -> Form:
     return _apply(spec, h, top=True, adjoint=True)
 
 
-def apply_Top_star(spec: OperatorSpec, h: Form, check=None) -> Form:
-    """Adjoint of apply_Top, cross-checked like apply_T_star."""
-    return _checked_adjoint(spec, h, True, check)
+def apply_Top_star(spec: OperatorSpec, h: Form) -> Form:
+    """Adjoint of apply_Top, cross-checked like apply_T_star: on the exact
+    backend only."""
+    return _checked_adjoint(spec, h, True)
 
 
 # ---- composition laws ------------------------------------------------------
@@ -380,7 +373,7 @@ def _box(spec: OperatorSpec, H: Form, top: bool) -> Form:
         up = _apply(spec, H, top=top, adjoint=False)
         parts.append(_apply(spec, up, top=top, adjoint=True))
     if not parts:
-        return _zero_like(H, width, H.q)
+        return zero_form(H.n, width, H.q, H.backend, H.P)
     return sum(parts[1:], parts[0])
 
 

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,3 +236,25 @@ def test_symbol_zero_denominator_is_a_one_line_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "divcurl: error: --xi 1/0,1: zero denominator\n"
+
+
+def test_module_entry_point():
+    """python -m divcurl runs main and exits with its code."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "divcurl", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    assert run("--version").returncode == 0
+    done = run("verify", "--scope", "symbol", "--format", "text")
+    assert done.returncode == 0 and done.stdout
+    done = run("symbol", "2", "2", "1", "--samples", "0")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == ("divcurl: error: samples must be at least 1, "
+                           "got 0\n")

@@ -112,6 +112,13 @@ def test_norm_frozen_values():
     assert abs(grad_lp_norm(F, 1, P=512) - 2 / math.pi) < 1e-4
 
 
+def test_grad_norm_of_exact_form_samples_one_grid():
+    """The partials of cos(20 x) + cos(y) have different bandwidths; all
+    are sampled on the grid that F's bandwidth picks."""
+    F = Form(2, 2, 0, {(): TrigPoly.wave(2, (20, 0)) + TrigPoly.wave(2, (0, 1))})
+    assert abs(grad_lp_norm(F, 2) - math.sqrt(200.5)) < 1e-12
+
+
 def test_norms_agree_across_backends():
     """At matched resolution both backends run the same quadrature sums."""
     rng = random.Random(12)
@@ -130,6 +137,43 @@ def test_partial_and_zero_form():
     assert partial(F, (0, 0, 1)).is_zero()
     z = zero_form(2, 3, 2, backend="grid", P=16)
     assert z.is_zero() and z.grid_P() == 16
+
+
+def test_grid_form_carries_its_resolution():
+    z = zero_form(2, 3, 1, backend="grid", P=16)
+    assert z.coeffs == {} and z.grid_P() == 16
+    assert z.coeff((2,)).P == 16
+    assert Form.from_obj(z.to_obj()).grid_P() == 16
+    exact = zero_form(2, 3, 1)
+    assert exact.P is None and "P" not in exact.to_obj()
+    field = GridField.zero(2, 32)
+    assert Form(2, 3, 1, {(1,): field}, "grid").grid_P() == 32
+    assert Form(2, 3, 1, {(1,): field}, "grid", 32).grid_P() == 32
+    with pytest.raises(ValueError, match="disagrees"):
+        Form(2, 3, 1, {(1,): field}, "grid", 16)
+    with pytest.raises(ValueError, match="needs P"):
+        zero_form(2, 3, 1, backend="grid")
+    with pytest.raises(ValueError, match="power of two"):
+        zero_form(2, 3, 1, backend="grid", P=12)
+    with pytest.raises(ValueError, match="exact form"):
+        zero_form(2, 3, 1, P=16)
+    with pytest.raises(ValueError, match="resolution mismatch"):
+        z + zero_form(2, 3, 1, backend="grid", P=32)
+
+
+def test_grid_zero_results_keep_their_resolution():
+    """An inert-slot partial and an overflowing wedge are empty forms; on
+    the grid they keep the input's resolution, and so does the star."""
+    rng = random.Random(21)
+    F = sample_form(random_trig_form(rng, 2, 3, 1), 16)
+    G = sample_form(random_trig_form(rng, 2, 3, 2), 16)
+    D = partial(F, (0, 0, 1))
+    W = wedge(G, G)  # degree 4 > N = 3
+    for Z in (D, W, hodge_star(W), -D, D.scale(2), D + D, W - W):
+        assert Z.backend == "grid" and Z.coeffs == {} and Z.grid_P() == 16
+        assert lp_norm(Z, 2) == 0.0 and grad_lp_norm(Z, 2) == 0.0
+        assert sobolev_norm(Z, 1, 2) == 0.0
+    assert W.q == 3 and hodge_star(W).q == 0
 
 
 def test_pullback_signed_permutation_exact():

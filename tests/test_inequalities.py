@@ -25,9 +25,11 @@ from divcurl.inequalities import (
     vs_lift,
     vs_reduction,
 )
-from divcurl.operators import apply_T, apply_Top, spec_for
+from divcurl.multiindex import complement, multiindices, random_ordering
+from divcurl.operators import OperatorSpec, apply_T, apply_Top, spec_for
 from divcurl.randoms import random_trig_form
 from divcurl.trigpoly import TrigPoly
+from divcurl.verify import default_cases
 
 
 def test_bump_periodization_and_dilation():
@@ -177,6 +179,32 @@ def test_lift_rejects_a_key_outside_the_multiindices(key):
     spec = spec_for(2, 2, 2)  # N = 3, so (2, 0, 0) is (2, 0) embedded
     with pytest.raises(ValueError, match="multiindices"):
         vs_lift(spec, {key: TrigPoly.wave(2, (1, 0), 0, 1)})
+
+
+def test_lift_and_reduction_signs_match_the_complement():
+    """vs_lift, vs_reduction and T at degree N - ell read one table, so a
+    sign fault there cancels in every check that pairs them.  Here each
+    sign is compared with multiindex.complement instead, for every default
+    case and two random orderings of each."""
+    rng = random.Random(16)
+    specs = []
+    for n, k, ell, kind in default_cases():
+        spec = spec_for(n, k, ell, kind)
+        specs += [spec] + [
+            OperatorSpec(n, k, ell, spec.N,
+                         random_ordering(n, k, ell, spec.N, rng))
+            for _ in range(2)]
+    for spec in specs:
+        one = TrigPoly.const(spec.n, 1)
+        for alpha in multiindices(spec.n, spec.k):
+            a = spec.ordering.label_of(alpha)
+            I, _ = complement(a, spec.N)
+            comp, sign = complement(I, spec.N)  # sign = epsilon^{a I}
+            assert comp == a
+            F = vs_lift(spec, {alpha: one})
+            assert F.coeffs == {I: one.scale(sign)}
+            g = vs_reduction(spec, F)
+            assert g == {alpha: one}
 
 
 def test_reduction_of_closed_form_is_divergence_free():

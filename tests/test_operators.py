@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 import divcurl.operators as ops
-from divcurl.forms import Form, form_max_abs, inner_product, sample_form
+from divcurl.forms import (
+    Form,
+    form_max_abs,
+    hodge_star,
+    inner_product,
+    lp_norm,
+    partial,
+    sample_form,
+    wedge,
+)
 from divcurl.multiindex import labels, random_ordering
 from divcurl.operators import (
     OperatorSpec,
@@ -293,6 +302,29 @@ def test_degree_guards_raise():
     bottom = Form(2, 3, 0, {(): wave(2, (1, 0), 0, 1)}, backend="trig")
     with pytest.raises(ValueError):
         apply_T_star(spec, bottom)
+
+
+def test_operators_on_empty_grid_forms_keep_the_resolution():
+    """An inert-slot partial and an overflowing wedge of grid forms have no
+    coefficients; T, T* and box of them are zero forms at the input's P,
+    as the exact backend gives zero forms."""
+    spec = spec_for(2, 2, 1, "diagonal")  # N = 3
+    rng = random.Random(22)
+    F = random_trig_form(rng, 2, 3, 1)
+    G = random_trig_form(rng, 2, 3, 2)
+    for P in (8, 16):
+        D = partial(sample_form(F, P), (0, 0, 1))
+        W = wedge(sample_form(G, P), sample_form(G, P))  # degree 4 > N
+        # W has the top degree N, so T applies to its star
+        outs = [apply_T(spec, D), apply_T_star(spec, D), box_apply(spec, D),
+                apply_T(spec, hodge_star(W)), apply_T_star(spec, W),
+                box_apply(spec, W)]
+        for Z in outs:
+            assert Z.backend == "grid" and Z.coeffs == {}
+            assert Z.grid_P() == P and lp_norm(Z, 2) == 0.0
+    exact = [apply_T(spec, partial(F, (0, 0, 1))),
+             apply_T_star(spec, wedge(G, G))]
+    assert all(Z.is_zero() and Z.P is None for Z in exact)
 
 
 def test_grid_and_trig_actions_agree():
