@@ -99,6 +99,23 @@ GOLDEN_SHA256 = {
         "48df54bd8aacbba832b427cc0c977847b1c57d0cd7adcae05a97612d2ce9b2b3",
     ("laplacian", "3", "2", "1", "--q", "2"):
         "83ef581ed641e24ab41e05fadd56d00fbc9f991fe9cfe03c61eb6096dc4e7790",
+    # recorded before the Laplacian rows were formatted directly and the
+    # symbol was read off a compiled integer table
+    ("laplacian", "3", "4", "1", "--q", "4", "--ordering", "diagonal"):
+        "12bf1c6f7cffa0930a1538c6559a359b00b9d1720a87f641e994ab839b609f10",
+    ("laplacian", "2", "3", "3", "--q", "2"):
+        "1ecf7296e951ad42fbc4942855a082b1c7dfa3f387cc28ba5c3d4148052323c5",
+    ("laplacian", "2", "2", "2", "--q", "1", "--source"):
+        "99c51f1060886cd5355724230d36c9e1ac5000a2d57fa6ad9e7728d6249fa0de",
+    ("laplacian", "3", "2", "2", "--q", "0", "--source"):
+        "2a44939830d86b99fae196fa63d36ccc87388e86ad741c2732a78743d9ae7e7d",
+    ("symbol", "4", "2", "1", "--q", "2", "--ordering", "chained",
+     "--samples", "10", "--seed", "3"):
+        "d0407e5dcaef8b3fcc417d8bed6b9e650e88487351d047db93d1988ce761a081",
+    ("symbol", "3", "3", "2", "--q", "2", "--samples", "10", "--seed", "5"):
+        "ca40693bf57ccc1f785ee62246eb48485d1918e011806f5bf955029deed84471",
+    ("symbol", "3", "2", "1", "--q", "1", "--xi=-1/2,0,2/3"):
+        "1e5f9a3749e3a5dbfc9d9c6f0de8dbd6c928873e1c4e9ff0ea987272f61fd8d1",
 }
 
 
