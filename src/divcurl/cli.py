@@ -9,7 +9,11 @@ Subcommands:
 * ineq                      numerical inequality probe suite
 
 All JSON output is canonical (sorted keys, two-space indent, trailing
-newline) so runs with equal inputs are byte identical.
+newline) so runs with equal inputs are byte identical.  The Laplacian's
+entry rows, up to 30 MB of them, are formatted directly in the bytes that
+json.dumps(..., sort_keys=True, indent=2) would give, one cached text per
+repeated label or multi-index; the golden sha256 hashes in
+tests/test_cli.py guard those bytes.
 """
 
 from __future__ import annotations
@@ -66,25 +70,59 @@ def _cmd_increments(args) -> int:
     return 0
 
 
+def _index_text(t, cache) -> str:
+    """One label or multi-index as an element of an entries row."""
+    text = cache.get(t)
+    if text is None:
+        text = ("[\n" + ",\n".join(f"        {x}" for x in t) + "\n      ]"
+                if t else "[]")
+        cache[t] = text
+    return text
+
+
+def _laplacian_json(obj, rows) -> str:
+    """_json(obj) with the sorted (M, I, alpha, beta, value) rows under
+    "entries", the first of its sorted keys.  One join builds the text,
+    so the document is held once beside its row strings."""
+    cache = {}
+    parts = [
+        f"    [\n      {_index_text(M, cache)},\n      {_index_text(I, cache)},"
+        f"\n      {_index_text(a, cache)},\n      {_index_text(b, cache)},"
+        f"\n      {v}\n    ]"
+        for (M, I, a, b), v in rows]
+    if parts:
+        parts[0] = '{\n  "entries": [\n' + parts[0]
+        parts[-1] += "\n  ]"
+    else:
+        parts = ['{\n  "entries": []']
+    parts[-1] += ",\n" + _json(obj)[2:]
+    return ",\n".join(parts)
+
+
 def _cmd_laplacian(args) -> int:
     spec = spec_for(args.n, args.k, args.ell, kind=args.ordering)
     width = spec.n if args.source else spec.N
     q = args.q if args.q is not None else min(spec.ell, width)
     tensor = (top_coeff_tensor(spec, q) if args.source
               else box_coeff_tensor(spec, q))
-    obj = tensor.to_obj()
-    obj["schema"] = "divcurl.laplacian/1"
-    obj["package_version"] = __version__
-    obj["kronecker"] = tensor.is_kronecker()
+    kronecker = tensor.is_kronecker()
+    rows = sorted(tensor.entries.items())
     if args.format == "json":
-        _emit(_json(obj), args.out)
+        obj = {
+            "schema": "divcurl.laplacian/1",
+            "package_version": __version__,
+            "spec": spec.describe(),
+            "q": q,
+            "source_space": args.source,
+            "kronecker": kronecker,
+        }
+        _emit(_laplacian_json(obj, rows), args.out)
     else:
         lines = [f"Laplacian tensor n={args.n} k={args.k} ell={args.ell} "
                  f"N={spec.N} q={q} ordering={args.ordering}"
                  + (" (source space)" if args.source else ""),
-                 f"entries: {len(tensor.entries)}"
-                 f"  kronecker: {tensor.is_kronecker()}"]
-        for (M, I, a, b), v in sorted(tensor.entries.items()):
+                 f"entries: {len(rows)}  kronecker: {kronecker}"]
+        for (M, I, a, b), v in rows:
             lines.append(f"  M={M} I={I} alpha={a} beta={b}: {v:+d}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -136,7 +136,11 @@ class Form:
         out = dict(self.coeffs)
         for lab, c in other.coeffs.items():
             out[lab] = out[lab] + c if lab in out else c
-        return Form(self.n, self.N, self.q, out, self.backend, self.P)
+        # an empty operand adopts the other's backend and P: the one with
+        # coefficients, else the one that carries a grid resolution
+        base = (self if self.coeffs or (not other.coeffs and self.P is not None)
+                else other)
+        return Form(self.n, self.N, self.q, out, base.backend, base.P)
 
     def __sub__(self, other):
         return self + (-other)

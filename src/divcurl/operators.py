@@ -420,23 +420,15 @@ class CoeffTensor:
                  for (M, I, alpha, beta), val in self.entries.items()]
         return _apply_table(H, table, self.q, width, overall=(-1) ** self.spec.k)
 
-    def to_obj(self) -> dict:
-        rows = [
-            [list(M), list(I), list(a), list(b), v]
-            for (M, I, a, b), v in sorted(self.entries.items())
-        ]
-        return {
-            "spec": self.spec.describe(),
-            "q": self.q,
-            "source_space": self.top,
-            "entries": rows,
-        }
-
     def is_kronecker(self) -> bool:
         """True when C^{MI}_{alpha beta} = delta_MI delta_alpha,beta."""
         width = _width(self.spec, self.top)
-        return self.entries == {(I, I, a, a): 1 for I in labels(width, self.q)
-                                for a, _ in _image_alphas(self.spec, self.top)}
+        labs = set(labels(width, self.q))
+        alphas = {a for a, _ in _image_alphas(self.spec, self.top)}
+        return (len(self.entries) == len(labs) * len(alphas)
+                and all(v == 1 and M == I and a == b and I in labs
+                        and a in alphas
+                        for (M, I, a, b), v in self.entries.items()))
 
 
 def _image_alphas(spec: OperatorSpec, top: bool):

@@ -7,9 +7,16 @@ S(xi) is the symmetric matrix
 
 over the degree-q labels (the two (-1)^k factors, one from the operator
 and one from 2k-fold differentiation of the wave, cancel).  For rational
-xi everything here is exact Fraction arithmetic; floating point enters
-only in dense eigenvalue scans for ell >= 2, and those are spot-checked
-against exact Rayleigh quotients.
+xi everything here is exact; floating point enters only in dense
+eigenvalue scans for ell >= 2, and those are spot-checked against exact
+Rayleigh quotients.
+
+Every gamma = alpha + beta has order 2k, so with xi = p / d over one
+common denominator d each entry is (sum of c p^gamma) / d^{2k}: an
+integer sum over the distinct monomials of the slot.  The tensor is
+compiled once per (spec, q, space) into those integer (gamma, c) lists,
+and each frequency costs one power per distinct gamma and one Fraction
+per nonzero slot.
 
 The strength measure is the Legendre-Hadamard style quotient
 
@@ -21,8 +28,10 @@ points on the sphere come from the stereographic parametrization.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +66,25 @@ def _xi_pow(xi, gamma):
     return out
 
 
+@lru_cache(maxsize=None)
+def _symbol_table(spec: OperatorSpec, q: int, source: bool):
+    """(labels, gammas, slots): slots holds (i, j, ((g, c), ...)) with
+    gammas[g] the exponent and c the integer tensor sum on it."""
+    tensor = top_coeff_tensor(spec, q) if source else box_coeff_tensor(spec, q)
+    labs = labels(spec.n if source else spec.N, q)
+    idx = {L: i for i, L in enumerate(labs)}
+    gamma_idx = {}
+    sums = {}
+    for (M, I, alpha, beta), val in tensor.entries.items():
+        gamma = tuple(a + b for a, b in zip(alpha, beta))
+        g = gamma_idx.setdefault(gamma, len(gamma_idx))
+        slot = sums.setdefault((idx[M], idx[I]), {})
+        slot[g] = slot.get(g, 0) + val
+    slots = tuple((i, j, tuple((g, c) for g, c in terms.items() if c))
+                  for (i, j), terms in sums.items())
+    return labs, tuple(gamma_idx), slots
+
+
 def box_symbol(spec: OperatorSpec, q: int, xi, source=False):
     """Exact symbol matrix of the Hodge Laplacian at frequency xi.
 
@@ -65,15 +93,16 @@ def box_symbol(spec: OperatorSpec, q: int, xi, source=False):
     source=True).
     """
     xi = _as_fractions(xi, spec.n)
-    tensor = top_coeff_tensor(spec, q) if source else box_coeff_tensor(spec, q)
-    width = spec.n if source else spec.N
-    labs = labels(width, q)
-    idx = {L: i for i, L in enumerate(labs)}
+    labs, gammas, slots = _symbol_table(spec, q, bool(source))
+    d = math.lcm(*(x.denominator for x in xi))
+    p = [x.numerator * (d // x.denominator) for x in xi]
+    mono = [math.prod(pi ** gi for pi, gi in zip(p, gamma))
+            for gamma in gammas]
+    den = d ** (2 * spec.k)
     size = len(labs)
     S = [[Fraction(0)] * size for _ in range(size)]
-    for (M, I, alpha, beta), val in tensor.entries.items():
-        gamma = tuple(a + b for a, b in zip(alpha, beta))
-        S[idx[M]][idx[I]] += val * _xi_pow(xi, gamma)
+    for i, j, terms in slots:
+        S[i][j] = Fraction(sum(c * mono[g] for g, c in terms), den)
     return labs, S
 
 

@@ -186,8 +186,9 @@ def identity_suite(spec: OperatorSpec, rng: random.Random, deep=False):
         rec(f"tensor_entry_bound[q={q}]", bound,
             "" if bound else "an entry exceeds 2 in absolute value")
         if spec.ell == 1:
-            rec(f"tensor_kronecker[q={q}]", t.is_kronecker(),
-                "" if t.is_kronecker() else "ell=1 tensor is not the identity")
+            kronecker = t.is_kronecker()
+            rec(f"tensor_kronecker[q={q}]", kronecker,
+                "" if kronecker else "ell=1 tensor is not the identity")
         spot = [(key, v, coeff_entry_direct(spec, q, *key))
                 for key, v in sorted(t.entries.items())[:4]]
         bad = [f"entry {key}: tensor {v} direct sum {d}"

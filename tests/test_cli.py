@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import divcurl
 import divcurl.operators as ops
-from divcurl.cli import main
+from divcurl.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +125,39 @@ def test_output_matches_golden_hash(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ("laplacian", "2", "3", "3", "--q", "2"),               # no entries
+    ("laplacian", "2", "2", "2", "--q", "1", "--source"),   # no entries
+    ("laplacian", "3", "2", "2", "--q", "0", "--source"),   # empty labels
+    ("laplacian", "3", "2", "2", "--q", "1"),
+    ("laplacian", "2", "2", "1", "--q", "1", "--ordering", "chained"),
+], ids="-".join)
+def test_laplacian_rows_match_stdlib_json(capsys, tmp_path, argv):
+    """The directly formatted rows give the bytes of json.dumps on the
+    row-list layout, and --out writes what stdout prints."""
+    args = build_parser().parse_args(argv)
+    spec = ops.spec_for(args.n, args.k, args.ell, args.ordering)
+    tensor = (ops.top_coeff_tensor(spec, args.q) if args.source
+              else ops.box_coeff_tensor(spec, args.q))
+    obj = {
+        "spec": spec.describe(),
+        "q": args.q,
+        "source_space": args.source,
+        "entries": [[list(M), list(I), list(a), list(b), v]
+                    for (M, I, a, b), v in sorted(tensor.entries.items())],
+        "schema": "divcurl.laplacian/1",
+        "package_version": divcurl.__version__,
+        "kronecker": tensor.is_kronecker(),
+    }
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    target = tmp_path / "tensor.json"
+    code, printed = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0 and printed == ""
+    assert target.read_bytes() == out.encode()
 
 
 def test_verify_scope_filters_records(capsys):

@@ -176,6 +176,22 @@ def test_grid_zero_results_keep_their_resolution():
     assert W.q == 3 and hodge_star(W).q == 0
 
 
+def test_empty_exact_form_adds_to_a_grid_form_in_either_order():
+    """An empty operand takes the other's backend and P, on the left as on
+    the right, for + and for -."""
+    rng = random.Random(22)
+    G = sample_form(random_trig_form(rng, 2, 3, 1), 16)
+    Z = zero_form(2, 3, 1)
+    for S, sign in ((Z + G, 1), (G + Z, 1), (Z - G, -1), (G - Z, 1)):
+        assert S.backend == "grid" and S.grid_P() == 16
+        assert S.coeffs.keys() == G.coeffs.keys()
+        assert form_max_abs(S - G.scale(sign)) == 0.0
+    E = zero_form(2, 3, 1, backend="grid", P=16)
+    for S in (Z + E, E + Z, Z - E, E - Z):
+        assert S.backend == "grid" and S.grid_P() == 16 and S.coeffs == {}
+    assert (Z + Z).backend == "trig" and (Z + Z).P is None
+
+
 def test_pullback_signed_permutation_exact():
     # quarter turn: psi(x) = (-x2, x1); pullback of dx1 is -dx2
     A = np.array([[0.0, -1.0], [1.0, 0.0]])

@@ -1,11 +1,20 @@
 """Exact symbol matrices, ellipticity quotients and degeneracy witnesses."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from divcurl.operators import spec_for
+from divcurl.increments import increment_scan
+from divcurl.multiindex import labels, random_ordering
+from divcurl.operators import (
+    OperatorSpec,
+    box_coeff_tensor,
+    spec_for,
+    top_coeff_tensor,
+)
 from divcurl.symbol import (
     box_symbol,
     ellipticity_scan,
@@ -152,3 +161,54 @@ def test_hybrid_scan_exact_for_unit_step():
     rep = ellipticity_scan(spec, 1, samples=20, seed=3)
     assert rep["exact_arithmetic"]
     assert rep["min_quotient"] > 0
+
+
+def _reference_symbol(spec, q, xi, source):
+    """S(xi) summed entry by entry in Fraction arithmetic, straight from
+    the tensor, with no table and no common denominator."""
+    tensor = top_coeff_tensor(spec, q) if source else box_coeff_tensor(spec, q)
+    labs = labels(spec.n if source else spec.N, q)
+    idx = {L: i for i, L in enumerate(labs)}
+    S = [[Fraction(0)] * len(labs) for _ in labs]
+    for (M, I, alpha, beta), val in tensor.entries.items():
+        term = Fraction(val)
+        for x, a, b in zip(xi, alpha, beta):
+            if a + b:
+                term *= x ** (a + b)
+        S[idx[M]][idx[I]] += term
+    return labs, S
+
+
+def test_box_symbol_equals_entrywise_fraction_sum():
+    """Every admissible spec with n <= 4 and N <= 7, canonical plus two
+    random orderings, every degree, both spaces where n >= ell, at
+    random rational frequencies with negative and zero entries, and at
+    xi = 0."""
+    rng = random.Random(23)
+    matrices = 0
+    for n in range(2, 5):
+        # C(n - 1 + k, k) = C(N, ell) <= C(7, 3) bounds k for N <= 7
+        for k in itertools.takewhile(
+                lambda k: math.comb(n - 1 + k, k) <= math.comb(7, 3),
+                itertools.count(1)):
+            for inc in increment_scan(n, k)[0]:
+                if inc.N > 7:
+                    continue
+                specs = [spec_for(n, k, inc.ell)] + [
+                    OperatorSpec(n, k, inc.ell, inc.N,
+                                 random_ordering(n, k, inc.ell, inc.N, rng))
+                    for _ in range(2)]
+                for spec in specs:
+                    for source in (False, True)[:1 + (n >= inc.ell)]:
+                        for q in range((n if source else inc.N) + 1):
+                            xis = [tuple(Fraction(rng.randint(-4, 4),
+                                                  rng.randint(1, 5))
+                                         for _ in range(n))]
+                            if q == 0:
+                                xis.append((Fraction(0),) * n)
+                            for xi in xis:
+                                assert (box_symbol(spec, q, xi, source)
+                                        == _reference_symbol(spec, q, xi,
+                                                             source))
+                                matrices += 1
+    assert matrices > 500
