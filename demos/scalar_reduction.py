@@ -38,7 +38,7 @@ back = vs_lift(spec, g)
 print(f"lift inverts the reduction exactly: {(back - F).is_zero()}")
 print()
 
-fam = divergence_free_family(spec, rng, terms=3)
+fam = divergence_free_family(spec, rng)
 print(f"random divergence-free family with {len(fam)} members:")
 lifted = vs_lift(spec, fam)
 print(f"  its lift is closed: {apply_T(spec, lifted).is_zero()}")

@@ -296,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("lexicographic", "diagonal", "chained"))
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--xi", help="comma separated rational frequency, "
-                                "e.g. '1,-2/3'; omit to run a scan")
+                                "e.g. '1,-2/3'; one that starts with '-' "
+                                "needs '=': --xi=-1/2,0; omit to run a scan")
     p.add_argument("--samples", type=int, default=40,
                    help="random sphere directions when scanning")
     p.add_argument("--seed", type=int, default=0)

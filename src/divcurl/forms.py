@@ -295,7 +295,7 @@ def inner_product_wedge(F: Form, G: Form):
 # ---- norms -------------------------------------------------------------------
 
 
-def _auto_P(F: Form, p) -> int:
+def _auto_P(F: Form) -> int:
     """Oversampled power-of-two resolution for quadrature of |.|^p."""
     B = max((c.max_freq() for c in F.coeffs.values()), default=1)
     target = max(32, 4 * (B + 1))
@@ -310,7 +310,7 @@ def _samples(F: Form, P=None) -> list:
     labs = sorted(F.coeffs)
     if F.backend == "grid":
         return [F.coeffs[lab].samples for lab in labs]
-    P = P or _auto_P(F, 2)
+    P = P or _auto_P(F)
     return [F.coeffs[lab].sample(P) for lab in labs]
 
 
@@ -355,7 +355,7 @@ def grad_lp_norm(F: Form, p, P=None) -> float:
     little-l2 over both the component and the differentiation axis."""
     if F.backend == "trig":
         # one grid for every partial: F's bandwidth bounds each of theirs
-        P = P or _auto_P(F, 2)
+        P = P or _auto_P(F)
     comps = []
     for axis in range(F.n):
         e = tuple(1 if t == axis else 0 for t in range(F.n))

@@ -103,11 +103,11 @@ class BumpSpec:
             out = out * line.reshape(shape)
         return out
 
-    def dilate(self, lam, about=np.pi):
-        """Parameter-level dilation x -> about + lam (x - about)."""
+    def dilate(self, lam):
+        """Parameter-level dilation x -> pi + lam (x - pi)."""
         return BumpSpec(
             self.amplitude,
-            tuple(about + lam * (c - about) for c in self.centers),
+            tuple(np.pi + lam * (c - np.pi) for c in self.centers),
             tuple(lam * s for s in self.sigmas),
         )
 
@@ -145,8 +145,8 @@ def random_bump_form(rng, n, N, q, P, components=2, sigma_range=(0.25, 0.4),
     return bump_form(n, N, q, spec_map, P), spec_map
 
 
-def dilate_form_specs(spec_map, lam, about=np.pi):
-    return {lab: [b.dilate(lam, about) for b in bumps]
+def dilate_form_specs(spec_map, lam):
+    return {lab: [b.dilate(lam) for b in bumps]
             for lab, bumps in spec_map.items()}
 
 
@@ -184,8 +184,8 @@ EXCLUDED_NOTE = (
 )
 
 
-def gn_ratio(spec: OperatorSpec, u: Form, assume=None, allow_excluded=False,
-             side_tol=1e-8) -> float:
+def gn_ratio(spec: OperatorSpec, u: Form, assume=None,
+             allow_excluded=False) -> float:
     """||u||_{W^{k-1, n/(n-1)}} / (||T u||_1 + ||T* u||_1) on source forms.
 
     At the excluded degrees the unconstrained quotient is unbounded;
@@ -200,10 +200,10 @@ def gn_ratio(spec: OperatorSpec, u: Form, assume=None, allow_excluded=False,
     Tu = _apply(spec, u, top=True, adjoint=False)
     Tsu = _apply(spec, u, top=True, adjoint=True)
     scale = lp_norm(u, 1)
-    if assume == "closed" and lp_norm(Tu, 1) > side_tol * max(scale, 1e-30):
-        raise ValueError("input is not closed to the requested tolerance")
-    if assume == "coclosed" and lp_norm(Tsu, 1) > side_tol * max(scale, 1e-30):
-        raise ValueError("input is not coclosed to the requested tolerance")
+    if assume == "closed" and lp_norm(Tu, 1) > 1e-8 * max(scale, 1e-30):
+        raise ValueError("input is not closed: ||T u||_1 > 1e-8 ||u||_1")
+    if assume == "coclosed" and lp_norm(Tsu, 1) > 1e-8 * max(scale, 1e-30):
+        raise ValueError("input is not coclosed: ||T* u||_1 > 1e-8 ||u||_1")
     num = sobolev_norm(u, spec.k - 1, n / (n - 1))
     den = lp_norm(Tu, 1) + lp_norm(Tsu, 1)
     if den == 0:
@@ -211,30 +211,26 @@ def gn_ratio(spec: OperatorSpec, u: Form, assume=None, allow_excluded=False,
     return num / den
 
 
-def make_closed_source(spec: OperatorSpec, q, rng, P, components=2,
-                       sigma_range=(0.25, 0.4)) -> Form:
+def make_closed_source(spec: OperatorSpec, q, rng, P) -> Form:
     """A closed source q-form: u = T phi (closed since T T = 0 for odd ell)."""
     if spec.ell % 2 == 0:
         raise ValueError("T T = 0 needs odd ell; use a kernel projection instead")
     if q < spec.ell:
         raise ValueError("no closed range forms below degree ell")
-    phi, _ = random_bump_form(rng, spec.n, spec.n, q - spec.ell, P,
-                              components=components, sigma_range=sigma_range)
+    phi, _ = random_bump_form(rng, spec.n, spec.n, q - spec.ell, P)
     u = _apply(spec, phi, top=True, adjoint=False)
     if u.is_zero():
         raise ValueError("probe collapsed to zero; retry with another seed")
     return u
 
 
-def make_coclosed_source(spec: OperatorSpec, q, rng, P, components=2,
-                         sigma_range=(0.25, 0.4)) -> Form:
+def make_coclosed_source(spec: OperatorSpec, q, rng, P) -> Form:
     """A coclosed source q-form: u = T* psi."""
     if spec.ell % 2 == 0:
         raise ValueError("T* T* = 0 needs odd ell")
     if q + spec.ell > spec.n:
         raise ValueError("no coclosed range forms above degree n - ell")
-    psi, _ = random_bump_form(rng, spec.n, spec.n, q + spec.ell, P,
-                              components=components, sigma_range=sigma_range)
+    psi, _ = random_bump_form(rng, spec.n, spec.n, q + spec.ell, P)
     u = _apply(spec, psi, top=True, adjoint=True)
     if u.is_zero():
         raise ValueError("probe collapsed to zero; retry with another seed")
@@ -382,7 +378,7 @@ def vs_reduction(spec: OperatorSpec, F: Form) -> dict:
     return out
 
 
-def vs_lift(spec: OperatorSpec, g: dict, backend="trig", P=None) -> Form:
+def vs_lift(spec: OperatorSpec, g: dict) -> Form:
     """Rebuild the (N - ell)-form whose reduction is the family g:
 
         F_I = epsilon^{ordering(alpha) I}_{(1..N)} g_alpha,
@@ -400,7 +396,7 @@ def vs_lift(spec: OperatorSpec, g: dict, backend="trig", P=None) -> Form:
                              f"multiindices({spec.n}, {spec.k})")
         I, sign = complements[alpha]
         coeffs[I] = fn.scale(sign)
-    return Form(spec.n, spec.N, q, coeffs, backend, P)
+    return Form(spec.n, spec.N, q, coeffs)
 
 
 def divergence_defect(spec: OperatorSpec, g: dict):
@@ -412,18 +408,17 @@ def divergence_defect(spec: OperatorSpec, g: dict):
     return acc
 
 
-def divergence_free_family(spec: OperatorSpec, rng: random.Random, terms=3,
-                           max_freq=2) -> dict:
+def divergence_free_family(spec: OperatorSpec, rng: random.Random) -> dict:
     """A random exact-arithmetic family with vanishing k-th order divergence,
-    built from antisymmetric pairs: g_a += d^b h, g_b -= d^a h."""
+    built from three antisymmetric pairs: g_a += d^b h, g_b -= d^a h."""
     from .randoms import random_trigpoly
 
     mis = multiindices(spec.n, spec.k)
     g = {alpha: None for alpha in mis}
-    for _ in range(terms):
+    for _ in range(3):
         ia, ib = rng.sample(range(len(mis)), 2)
         alpha, beta = mis[ia], mis[ib]
-        h = random_trigpoly(rng, spec.n, max_freq=max_freq, terms=2)
+        h = random_trigpoly(rng, spec.n)
         da = h.diff_alpha(beta)
         db = h.diff_alpha(alpha)
         g[alpha] = da if g[alpha] is None else g[alpha] + da

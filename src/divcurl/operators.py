@@ -121,13 +121,13 @@ class OperatorSpec:
         }
 
 
-def spec_for(n, k, ell, kind="lexicographic", table=None) -> OperatorSpec:
+def spec_for(n, k, ell, kind="lexicographic") -> OperatorSpec:
     """Resolve N from the admissibility equation and build the spec."""
     from .increments import admissible_increments
 
     for sol in admissible_increments(n, k):
         if sol.ell == ell:
-            ordering = make_ordering(n, k, ell, sol.N, kind=kind, table=table)
+            ordering = make_ordering(n, k, ell, sol.N, kind=kind)
             return OperatorSpec(n, k, ell, sol.N, ordering)
     raise ValueError(f"ell={ell} is not an admissible increment for (n={n}, k={k})")
 
@@ -507,89 +507,84 @@ def coeff_entry_direct(spec, q, M, I, alpha, beta, top=False) -> int:
     return total
 
 
-def coeff_entry_closed_form(spec, q, M, I, alpha, beta, top=False) -> int:
-    """One tensor entry from the overlap decomposition, no label sums.
+def _overlap_entry(ell, I, setI, a, set_a, b, set_b):
+    """The one M at which C^{MI}_{alpha beta} can be nonzero and the entry
+    there, or None; a = ordering(alpha), b = ordering(beta) and the shared
+    block is lam = a intersect b:
 
-    With a = ordering(alpha), b = ordering(beta) and shared block
-    lam = a intersect b:
-
-    * lam disjoint from I and M (in particular lam empty) contributes the
-      raising part epsilon^{a I}_{b M}; when lam is empty the lowering
-      part equals (-1)^ell times it, giving the factor (1 + (-1)^(ell^2));
-    * lam contained in both I and M contributes the lowering part
-      epsilon^{a K}_M epsilon^{b K}_I with K = M minus a = I minus b;
+    * lam disjoint from I gives the raising part epsilon^{a I}_{b M} at
+      M = (a union I) minus b, which needs a disjoint from I; when lam is
+      empty the lowering part equals (-1)^ell times it, giving the factor
+      (1 + (-1)^(ell^2));
+    * lam inside I gives the lowering part epsilon^{a K}_M epsilon^{b K}_I
+      at M = a union K, K = I minus b, which needs b inside I and a
+      disjoint from K;
     * every other overlap pattern gives zero.
     """
-    M, I = tuple(M), tuple(I)
+    if set_a.isdisjoint(setI):  # raising; lam is disjoint from I too
+        factor = 1 + (-1) ** (ell * ell) if set_a.isdisjoint(set_b) else 1
+        if not factor or not set_b <= set_a | setI:
+            return None
+        M = tuple(t for t in sorted(a + I) if t not in set_b)
+        return M, factor * perm_sign_between(a + I, b + M)
+    if not set_b <= setI:  # lowering; b inside I puts lam inside I
+        return None
+    K = tuple(t for t in I if t not in set_b)
+    if not set_a.isdisjoint(K):
+        return None
+    M = tuple(sorted(a + K))
+    return M, perm_sign_between(a + K, M) * perm_sign_between(b + K, I)
+
+
+def coeff_entry_closed_form(spec, q, M, I, alpha, beta, top=False) -> int:
+    """One tensor entry from the overlap decomposition, no label sums;
+    zero when ordering(alpha) or ordering(beta) leaves {1..width}."""
+    width = _width(spec, top)
     a = spec.ordering.label_of(alpha)
     b = spec.ordering.label_of(beta)
-    lam = set(a) & set(b)
-    setI, setM = set(I), set(M)
-
-    def lowering():
-        if not (set(a) <= setM and set(b) <= setI):
-            return 0
-        K = tuple(t for t in M if t not in set(a))
-        if tuple(t for t in I if t not in set(b)) != K:
-            return 0
-        return perm_sign_between(a + K, M) * perm_sign_between(b + K, I)
-
-    if not lam:
-        raising = perm_sign_between(a + I, b + M)
-        return (1 + (-1) ** (spec.ell * spec.ell)) * raising
-    if not (lam & setI) and not (lam & setM):
-        return perm_sign_between(a + I, b + M)
-    if lam <= setI and lam <= setM:
-        return lowering()
-    return 0
+    if max(a) > width or max(b) > width:
+        return 0
+    I = tuple(I)
+    hit = _overlap_entry(spec.ell, I, set(I), a, set(a), b, set(b))
+    return hit[1] * perm_sign_between(hit[0], M) if hit else 0
 
 
 @lru_cache(maxsize=None)
 def box_coeff_closed_form(spec: OperatorSpec, q: int, top: bool = False) -> CoeffTensor:
-    """Full tensor rebuilt from coeff_entry_closed_form on the candidate
-    support (all (M, I, alpha, beta) that either part could touch)."""
-    width = _width(spec, top)
+    """Full tensor from the overlap decomposition: each (I, alpha, beta)
+    has at most one M with a nonzero entry."""
     pairs = [(alpha, a, set(a)) for alpha, a in _image_alphas(spec, top)]
     entries = {}
-    for I in labels(width, q):
+    for I in labels(_width(spec, top), q):
         setI = set(I)
         for alpha, a, set_a in pairs:
             for beta, b, set_b in pairs:
-                cands = set()
-                if not (set_a & setI) and set_b <= set_a | setI:
-                    cands.add(tuple(t for t in sorted(a + I) if t not in set_b))
-                if set_b <= setI:
-                    K = tuple(t for t in I if t not in set_b)
-                    if not (set_a & set(K)):
-                        cands.add(tuple(sorted(a + K)))
-                for M in cands:
-                    val = coeff_entry_closed_form(spec, q, M, I, alpha, beta, top)
-                    if val:
-                        entries[(M, I, alpha, beta)] = val
+                hit = _overlap_entry(spec.ell, I, setI, a, set_a, b, set_b)
+                if hit:
+                    entries[(hit[0], I, alpha, beta)] = hit[1]
     return CoeffTensor(spec, q, top, entries)
 
 
 # ---- invariance under rotations ---------------------------------------------
 
 
-def invariance_defect(spec: OperatorSpec, A, F: Form, center=None) -> float:
+def invariance_defect(spec: OperatorSpec, A, F: Form) -> float:
     """Norm of Top(pullback F) - pullback(Top F) for the map x -> A(x-c)+c.
 
     A must be orthogonal.  F is a source form (N == n).  On the exact
     backend A must be a signed permutation and the defect is reported as
     an exact coefficient bound; on the grid backend the pullback uses
     band-limited interpolation, so probes should be well localized away
-    from the box seam.  The default center is the box midpoint on the
-    grid backend (keeping localized probes away from the seam) and the
-    origin on the exact backend (where the pullback is frequency
-    relabeling and needs no centering).
+    from the box seam.  The center is the box midpoint on the grid
+    backend (keeping localized probes away from the seam) and the origin
+    on the exact backend (where the pullback is frequency relabeling and
+    needs no centering).
     """
     A = np.asarray(A, dtype=float)
     if not np.allclose(A @ A.T, np.eye(spec.n), atol=1e-12):
         raise ValueError("expected an orthogonal matrix")
     _check_space(spec, F, top=True)
-    if center is None and F.backend == "grid":
-        center = np.full(spec.n, np.pi)
+    center = np.full(spec.n, np.pi) if F.backend == "grid" else None
     TF = _apply(spec, F, top=True, adjoint=False)
     left = _apply(spec, pullback_linear(F, A, center), top=True, adjoint=False)
     right = pullback_linear(TF, A, center)

@@ -16,10 +16,10 @@ __all__ = [
 ]
 
 
-def random_rational(rng: random.Random, span=4, den=6) -> Fraction:
-    """Nonzero rational with small numerator and denominator."""
-    num = rng.choice([i for i in range(-span, span + 1) if i != 0])
-    return Fraction(num, rng.randint(1, den))
+def random_rational(rng: random.Random) -> Fraction:
+    """Nonzero rational with numerator in -4..4 and denominator in 1..6."""
+    num = rng.choice([i for i in range(-4, 5) if i != 0])
+    return Fraction(num, rng.randint(1, 6))
 
 
 def random_trigpoly(rng: random.Random, n, max_freq=2, terms=2) -> TrigPoly:
@@ -31,15 +31,14 @@ def random_trigpoly(rng: random.Random, n, max_freq=2, terms=2) -> TrigPoly:
     return acc
 
 
-def random_trig_form(rng: random.Random, n, N, q, components=3,
-                     max_freq=2, terms=2) -> Form:
+def random_trig_form(rng: random.Random, n, N, q, components=3) -> Form:
     """Sparse random form: a few labels carry small rational trig coefficients."""
     labs = list(labels(N, q))
     rng.shuffle(labs)
     picked = labs[: min(components, len(labs))]
     coeffs = {}
     for lab in picked:
-        poly = random_trigpoly(rng, n, max_freq=max_freq, terms=terms)
+        poly = random_trigpoly(rng, n)
         if not poly.is_zero():
             coeffs[lab] = poly
     return Form(n, N, q, coeffs, backend="trig")

@@ -224,7 +224,7 @@ def identity_suite(spec: OperatorSpec, rng: random.Random, deep=False):
         rec("source_tensor_closed_form", not diff, diff)
 
     # reduction / lift dictionary at degree N - ell
-    g = divergence_free_family(spec, rng, terms=3)
+    g = divergence_free_family(spec, rng)
     if g:
         F = vs_lift(spec, g)
         TF = apply_T(spec, F)

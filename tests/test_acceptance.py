@@ -382,7 +382,7 @@ def test_criterion_7_reduction_transport():
                 fields += 1
         for spec in lift_specs:
             for _ in range(8):
-                fam = divergence_free_family(spec, rng, terms=3)
+                fam = divergence_free_family(spec, rng)
                 F = vs_lift(spec, fam)
                 assert apply_T(spec, F).is_zero()
                 g = vs_reduction(spec, F)

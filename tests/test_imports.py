@@ -1,6 +1,7 @@
 """Every name an import binds is used in its module or listed in __all__:
 an ast scan of the package (except its re-exporting __init__), the tests
-and the demos."""
+and the demos.  Every parameter with a default in the package is read by
+its function's body."""
 
 import ast
 from pathlib import Path
@@ -26,6 +27,32 @@ def unused_imports(source: str) -> list:
 def test_scan_flags_an_unused_import():
     src = "import math\nfrom os import path, sep\n__all__ = ['sep']\n"
     assert unused_imports(src) == ["line 1: math", "line 2: path"]
+
+
+def unread_defaults(source: str) -> list:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            params = positional[len(positional) - len(a.defaults):] + [
+                p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [f"{node.name}.{p.arg}" for p in params if p.arg not in read]
+    return found
+
+
+def test_scan_flags_an_unread_default():
+    src = ("def f(a, b=1, *, c=2, d=3):\n    return a + c\n"
+           "def g(x=0):\n    def h():\n        return x\n    return h\n")
+    assert unread_defaults(src) == ["f.b", "f.d"]  # h reads g's x
+
+
+def test_every_defaulted_parameter_is_read():
+    found = {p.name: unread_defaults(p.read_text())
+             for p in (ROOT / "src/divcurl").glob("*.py")}
+    assert {p: u for p, u in found.items() if u} == {}
 
 
 def test_no_unused_imports():

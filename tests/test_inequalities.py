@@ -174,6 +174,20 @@ def test_reduction_and_lift_are_mutually_inverse():
             assert (g2[alpha] - g[alpha]).is_zero()
 
 
+def test_lift_and_reduction_round_trip_a_grid_family():
+    """vs_lift takes its backend and resolution from the family."""
+    spec = spec_for(2, 2, 1)
+    rng = np.random.default_rng(17)
+    g = {alpha: GridField(2, 16, rng.standard_normal((16, 16)))
+         for alpha in multiindices(2, 2)}
+    F = vs_lift(spec, g)
+    assert (F.backend, F.P) == ("grid", 16)
+    back = vs_reduction(spec, F)
+    assert set(back) == set(g)
+    for alpha, field in g.items():
+        assert np.array_equal(back[alpha].samples, field.samples)
+
+
 @pytest.mark.parametrize("key", [(2, 0, 0), (1, 0), (3, 0)])
 def test_lift_rejects_a_key_outside_the_multiindices(key):
     spec = spec_for(2, 2, 2)  # N = 3, so (2, 0, 0) is (2, 0) embedded
@@ -221,7 +235,7 @@ def test_reduction_of_closed_form_is_divergence_free():
 def test_divergence_free_family_lifts_to_closed_form():
     rng = random.Random(15)
     spec = spec_for(2, 2, 1, "diagonal")
-    fam = divergence_free_family(spec, rng, terms=3)
+    fam = divergence_free_family(spec, rng)
     defect = divergence_defect(spec, fam)
     assert defect is None or defect.is_zero()
     F = vs_lift(spec, fam)

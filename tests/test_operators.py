@@ -1,5 +1,6 @@
 """Operator layer: actions, adjoints, compositions, coefficient tensors."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from divcurl.forms import (
     sample_form,
     wedge,
 )
-from divcurl.multiindex import labels, random_ordering
+from divcurl.increments import admissible_increments
+from divcurl.multiindex import labels, multiindices, random_ordering
 from divcurl.operators import (
     OperatorSpec,
     apply_T,
@@ -220,6 +222,35 @@ def test_tensor_triple_agreement():
             v = A.value(M, I, a, b)
             assert v == coeff_entry_direct(spec, q, M, I, a, b, top=top)
             assert v == coeff_entry_closed_form(spec, q, M, I, a, b, top=top)
+
+
+def test_single_entry_routes_agree_on_every_entry():
+    """coeff_entry_closed_form == coeff_entry_direct on every (M, I, alpha,
+    beta) of every admissible spec with N <= 4, canonical and one random
+    ordering, on the hybrid and (when n >= ell) the source space.  On the
+    source space an ordering(alpha) outside {1..n} gives 0."""
+    rng = random.Random(38)
+    specs = []
+    # N <= 4 caps C(n - 1 + k, k) = C(N, ell) at C(4, 2) = 6: n <= 4, k <= 5
+    for n, k in itertools.product(range(2, 5), range(1, 6)):
+        for sol in admissible_increments(n, k):
+            if sol.N <= 4:
+                specs += [spec_for(n, k, sol.ell), OperatorSpec(
+                    n, k, sol.ell, sol.N,
+                    random_ordering(n, k, sol.ell, sol.N, rng))]
+    assert len(specs) == 18
+    for spec in specs:
+        alphas = multiindices(spec.n, spec.k)
+        for top in [False] + [True] * (spec.n >= spec.ell):
+            width = spec.n if top else spec.N
+            for q in range(width + 1):
+                for M, I in itertools.product(labels(width, q), repeat=2):
+                    for a, b in itertools.product(alphas, repeat=2):
+                        assert (coeff_entry_closed_form(spec, q, M, I, a, b, top)
+                                == coeff_entry_direct(spec, q, M, I, a, b, top))
+    # ordering(0, 2) = (3,) lies outside the source labels {1, 2}
+    assert coeff_entry_closed_form(spec_for(2, 2, 1), 0, (), (), (0, 2),
+                                   (0, 2), top=True) == 0
 
 
 def test_tensor_hand_computed_entry():
