@@ -30,7 +30,7 @@ F = apply_T(spec, phi)  # closed because the odd-step double raise vanishes
 g = vs_reduction(spec, F)
 print(f"reduced a closed {q}-form to {len(g)} scalar components")
 
-defect = divergence_defect(spec, g)
+defect = divergence_defect(g)
 print(f"sum_alpha d^k g_alpha / dx^alpha == 0: "
       f"{defect is None or defect.is_zero()}")
 

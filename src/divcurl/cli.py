@@ -132,7 +132,7 @@ def _cmd_symbol(args) -> int:
     spec = spec_for(args.n, args.k, args.ell, kind=args.ordering)
     width = spec.n if args.source else spec.N
     q = args.q if args.q is not None else 0
-    if args.xi:
+    if args.xi is not None:
         from fractions import Fraction
 
         try:

@@ -22,7 +22,6 @@ Conventions fixed here and used throughout:
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -180,28 +179,6 @@ class Form:
     def __repr__(self):
         return (f"Form(n={self.n}, N={self.N}, q={self.q}, "
                 f"backend={self.backend!r}, components={len(self.coeffs)})")
-
-    # ---- serialization -----------------------------------------------------
-
-    def to_obj(self):
-        obj = {
-            "n": self.n,
-            "N": self.N,
-            "q": self.q,
-            "backend": self.backend,
-            "coeffs": [[list(lab), c.to_obj()]
-                       for lab, c in sorted(self.coeffs.items())],
-        }
-        if self.P is not None:
-            obj["P"] = self.P
-        return obj
-
-    @classmethod
-    def from_obj(cls, obj):
-        maker = TrigPoly.from_obj if obj["backend"] == "trig" else GridField.from_obj
-        coeffs = {tuple(lab): maker(c) for lab, c in obj["coeffs"]}
-        return cls(obj["n"], obj["N"], obj["q"], coeffs, obj["backend"],
-                   obj.get("P"))
 
 
 def zero_form(n, N, q, backend="trig", P=None) -> Form:
@@ -366,23 +343,6 @@ def grad_lp_norm(F: Form, p, P=None) -> float:
 # ---- change of variables ------------------------------------------------------
 
 
-def _minor_det_exact(A, rows, cols):
-    """Exact determinant of an integer submatrix by Leibniz expansion."""
-    size = len(rows)
-    if size == 0:
-        return 1
-    total = 0
-    for perm in itertools.permutations(range(size)):
-        sign = perm_sign_between(tuple(perm), tuple(range(size)))
-        prod = 1
-        for r, pc in zip(rows, perm):
-            prod *= A[r][cols[pc]]
-            if prod == 0:
-                break
-        total += sign * prod
-    return total
-
-
 def _is_signed_permutation(A) -> bool:
     arr = np.asarray(A, dtype=float)
     if not np.all(np.isin(arr, (-1.0, 0.0, 1.0))):
@@ -435,41 +395,33 @@ def pullback_linear(F: Form, A, center=None) -> Form:
             # recentring shifts phases, which leaves the rational setting
             raise ValueError("exact pullback supports center=0 only")
         A_int = [[int(round(A[i, j])) for j in range(n)] for i in range(n)]
-        out = {}
-        for labJ in labels(n, F.q):
-            acc = TrigPoly.zero(n)
-            for labI, c in F.coeffs.items():
-                rows = [i - 1 for i in labI]
-                cols = [j - 1 for j in labJ]
-                det = _minor_det_exact(A_int, rows, cols)
-                if det == 0:
-                    continue
-                acc = acc + _pullback_trig_coeff(c, A_int).scale(det)
-            if not acc.is_zero():
-                out[labJ] = acc
-        return Form(n, n, F.q, out, backend="trig")
-
-    P = F.grid_P()
-    pts = grid_points(n, P).reshape(-1, n)
-    mapped = (pts - center) @ A.T + center
-    ks = np.fft.fftfreq(P, d=1.0 / P)
-    phases = [np.exp(1j * np.outer(mapped[:, axis], ks)) for axis in range(n)]
-    evaluators = {lab: _fourier_eval(c, phases) for lab, c in F.coeffs.items()}
+        composed = {lab: _pullback_trig_coeff(c, A_int)
+                    for lab, c in F.coeffs.items()}
+    else:
+        P = F.grid_P()
+        pts = grid_points(n, P).reshape(-1, n)
+        mapped = (pts - center) @ A.T + center
+        ks = np.fft.fftfreq(P, d=1.0 / P)
+        phases = [np.exp(1j * np.outer(mapped[:, axis], ks))
+                  for axis in range(n)]
+        composed = {
+            lab: GridField(n, P, _fourier_eval(c, phases).reshape((P,) * n))
+            for lab, c in F.coeffs.items()}
     out = {}
     for labJ in labels(n, F.q):
-        acc = np.zeros(P ** n)
-        hit = False
-        for labI, vals in evaluators.items():
+        cols = [j - 1 for j in labJ]
+        acc = None
+        for labI, c in composed.items():
             rows = [i - 1 for i in labI]
-            cols = [j - 1 for j in labJ]
+            # a signed permutation's minors are 0 or +-1, which LU gets exactly
             det = float(np.linalg.det(A[np.ix_(rows, cols)])) if rows else 1.0
             if abs(det) < 1e-15:
                 continue
-            acc = acc + det * vals
-            hit = True
-        if hit:
-            out[labJ] = GridField(n, P, acc.reshape((P,) * n))
-    return Form(n, n, F.q, out, "grid", P)
+            term = c.scale(det)
+            acc = term if acc is None else acc + term
+        if acc is not None:
+            out[labJ] = acc
+    return Form(n, n, F.q, out, F.backend, F.P)
 
 
 def _fourier_eval(field: GridField, phases) -> np.ndarray:

@@ -18,13 +18,12 @@ spectrum (numpy's rfftn layout: the last axis runs over frequencies
 Derivatives are Fourier multipliers on the half spectrum.  +, - and
 scale work on spectra when every operand has one and at least one lacks
 samples, and on samples otherwise.  Pointwise products, the mean (the
-normalized integral), norms and serialization read samples.  Arrays are
-marked read-only; all operations return new fields.
+normalized integral) and norms read samples.  Arrays are marked
+read-only; all operations return new fields.
 """
 
 from __future__ import annotations
 
-import base64
 from functools import lru_cache
 
 import numpy as np
@@ -218,20 +217,3 @@ class GridField:
 
     def __repr__(self):
         return f"GridField(n={self.n}, P={self.P}, max|.|={self.max_abs():.3g})"
-
-    # ---- serialization --------------------------------------------------
-
-    def to_obj(self):
-        return {
-            "n": self.n,
-            "P": self.P,
-            "dtype": "float64",
-            "data": base64.b64encode(self.samples.tobytes()).decode(),
-        }
-
-    @classmethod
-    def from_obj(cls, obj):
-        P, n = obj["P"], obj["n"]
-        raw = base64.b64decode(obj["data"])
-        samples = np.frombuffer(raw, dtype=np.float64).reshape((P,) * n).copy()
-        return cls(n, P, samples)

@@ -399,7 +399,7 @@ def vs_lift(spec: OperatorSpec, g: dict) -> Form:
     return Form(spec.n, spec.N, q, coeffs)
 
 
-def divergence_defect(spec: OperatorSpec, g: dict):
+def divergence_defect(g: dict):
     """sum_alpha d^k g_alpha / dx^alpha (exact on the trig backend)."""
     acc = None
     for alpha, fn in g.items():

@@ -227,18 +227,6 @@ class Ordering:
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
 
-    @classmethod
-    def from_obj(cls, obj) -> "Ordering":
-        return cls(
-            obj["n"], obj["k"], obj["ell"], obj["N"],
-            [(tuple(a), tuple(lab)) for a, lab in obj["pairs"]],
-            kind=obj.get("kind", "custom"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Ordering":
-        return cls.from_obj(json.loads(text))
-
     def digest(self) -> str:
         """Short stable hash identifying this ordering in reports."""
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]

@@ -536,7 +536,7 @@ def _overlap_entry(ell, I, setI, a, set_a, b, set_b):
     return M, perm_sign_between(a + K, M) * perm_sign_between(b + K, I)
 
 
-def coeff_entry_closed_form(spec, q, M, I, alpha, beta, top=False) -> int:
+def coeff_entry_closed_form(spec, M, I, alpha, beta, top=False) -> int:
     """One tensor entry from the overlap decomposition, no label sums;
     zero when ordering(alpha) or ordering(beta) leaves {1..width}."""
     width = _width(spec, top)

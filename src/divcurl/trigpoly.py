@@ -269,23 +269,3 @@ class TrigPoly:
             wave = np.cos(angle) if phase == COS else np.sin(angle)
             out += float(coeff) * wave
         return out
-
-    # ---- serialization --------------------------------------------------
-
-    def to_obj(self):
-        items = sorted(self.terms.items())
-        return {
-            "n": self.n,
-            "terms": [
-                [list(freq), phase, f"{c.numerator}/{c.denominator}"]
-                for (freq, phase), c in items
-            ],
-        }
-
-    @classmethod
-    def from_obj(cls, obj):
-        terms = {}
-        for freq, phase, frac in obj["terms"]:
-            num, den = frac.split("/")
-            terms[(tuple(freq), phase)] = Fraction(int(num), int(den))
-        return cls(obj["n"], terms)

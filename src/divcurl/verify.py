@@ -132,9 +132,10 @@ def identity_suite(spec: OperatorSpec, rng: random.Random, deep=False):
     # adjointness and route agreement at each probe degree
     for q in _probe_degrees(spec):
         F = random_trig_form(rng, spec.n, spec.N, q, components=3)
-        G = apply_T(spec, F) + random_trig_form(rng, spec.n, spec.N,
-                                                q + spec.ell, components=2)
-        lhs = inner_product(apply_T(spec, F), G)
+        TF = apply_T(spec, F)
+        G = TF + random_trig_form(rng, spec.n, spec.N, q + spec.ell,
+                                  components=2)
+        lhs = inner_product(TF, G)
         try:
             TsG = apply_T_star(spec, G)  # internally cross-checks both routes
             rhs = inner_product(F, TsG)
@@ -209,9 +210,10 @@ def identity_suite(spec: OperatorSpec, rng: random.Random, deep=False):
         qs = [q for q in (0, 1) if q + spec.ell <= spec.n]
         for q in qs:
             f = random_trig_form(rng, spec.n, spec.n, q, components=2)
-            h = apply_Top(spec, f) + random_trig_form(
-                rng, spec.n, spec.n, q + spec.ell, components=2)
-            lhs = inner_product(apply_Top(spec, f), h)
+            Tf = apply_Top(spec, f)
+            h = Tf + random_trig_form(rng, spec.n, spec.n, q + spec.ell,
+                                      components=2)
+            lhs = inner_product(Tf, h)
             try:
                 rhs = inner_product(f, apply_Top_star(spec, h))
                 rec(f"source_adjointness[q={q}]", lhs == rhs,
@@ -235,7 +237,7 @@ def identity_suite(spec: OperatorSpec, rng: random.Random, deep=False):
                or a not in g or not (back[a] - g[a]).is_zero()]
         rec("reduction_roundtrip", not bad,
             f"g[{bad[0]}] does not come back" if bad else "")
-        dd = divergence_defect(spec, g)
+        dd = divergence_defect(g)
         rec("divergence_defect_zero", dd.is_zero(),
             "" if dd.is_zero() else
             f"first nonzero term {sorted(dd.terms.items())[0]}")

@@ -376,7 +376,7 @@ def test_criterion_7_reduction_transport():
                 if F.is_zero():
                     continue
                 g = vs_reduction(spec, F)
-                defect = divergence_defect(spec, g)
+                defect = divergence_defect(g)
                 assert defect is None or defect.is_zero()
                 assert (vs_lift(spec, g) - F).is_zero()
                 fields += 1
@@ -386,7 +386,7 @@ def test_criterion_7_reduction_transport():
                 F = vs_lift(spec, fam)
                 assert apply_T(spec, F).is_zero()
                 g = vs_reduction(spec, F)
-                defect = divergence_defect(spec, g)
+                defect = divergence_defect(g)
                 assert defect is None or defect.is_zero()
                 assert (vs_lift(spec, g) - F).is_zero()
                 fields += 1

@@ -289,6 +289,16 @@ def test_symbol_zero_denominator_is_a_one_line_error(capsys):
     assert captured.err == "divcurl: error: --xi 1/0,1: zero denominator\n"
 
 
+def test_symbol_empty_xi_is_a_one_line_error(capsys):
+    """--xi= names a frequency; an empty one is an error, not a scan."""
+    code = main(["symbol", "2", "2", "1", "--xi="])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("divcurl: error: Invalid literal for Fraction: "
+                            "''\n")
+
+
 def test_module_entry_point():
     """python -m divcurl runs main and exits with its code."""
     env = dict(os.environ)

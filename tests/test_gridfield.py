@@ -109,13 +109,5 @@ def test_half_spectrum_fields():
         GridField.from_spectrum(2, 16, np.zeros((16, 16), dtype=complex))
 
 
-def test_serialization_roundtrip_bitwise():
-    rng = np.random.default_rng(1)
-    f = GridField(2, 16, rng.normal(size=(16, 16)))
-    g = GridField.from_obj(f.to_obj())
-    assert g.n == f.n and g.P == f.P
-    assert np.array_equal(g.samples, f.samples)
-
-
 def test_int_freqs_layout():
     assert list(int_freqs(8)) == [0, 1, 2, 3, -4, -3, -2, -1]

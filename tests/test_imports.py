@@ -1,7 +1,7 @@
 """Every name an import binds is used in its module or listed in __all__:
 an ast scan of the package (except its re-exporting __init__), the tests
-and the demos.  Every parameter with a default in the package is read by
-its function's body."""
+and the demos.  Every parameter of every function in the package, with or
+without a default, is read by its function's body."""
 
 import ast
 from pathlib import Path
@@ -29,14 +29,13 @@ def test_scan_flags_an_unused_import():
     assert unused_imports(src) == ["line 1: math", "line 2: path"]
 
 
-def unread_defaults(source: str) -> list:
+def unread_parameters(source: str) -> list:
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             a = node.args
-            positional = a.posonlyargs + a.args
-            params = positional[len(positional) - len(a.defaults):] + [
-                p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None]
             read = {n.id for stmt in node.body for n in ast.walk(stmt)
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             found += [f"{node.name}.{p.arg}" for p in params if p.arg not in read]
@@ -44,13 +43,14 @@ def unread_defaults(source: str) -> list:
 
 
 def test_scan_flags_an_unread_default():
-    src = ("def f(a, b=1, *, c=2, d=3):\n    return a + c\n"
+    src = ("def f(a, /, b, c=1, *args, d, e=2, **kw):\n    return c + d\n"
            "def g(x=0):\n    def h():\n        return x\n    return h\n")
-    assert unread_defaults(src) == ["f.b", "f.d"]  # h reads g's x
+    # every kind of parameter is scanned; h reads g's x
+    assert unread_parameters(src) == ["f.a", "f.b", "f.e", "f.args", "f.kw"]
 
 
 def test_every_defaulted_parameter_is_read():
-    found = {p.name: unread_defaults(p.read_text())
+    found = {p.name: unread_parameters(p.read_text())
              for p in (ROOT / "src/divcurl").glob("*.py")}
     assert {p: u for p, u in found.items() if u} == {}
 

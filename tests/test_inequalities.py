@@ -228,7 +228,7 @@ def test_reduction_of_closed_form_is_divergence_free():
     phi = random_trig_form(rng, 2, spec.N, q - spec.ell, components=3)
     F = apply_T(spec, phi)  # closed because the step is odd
     g = vs_reduction(spec, F)
-    defect = divergence_defect(spec, g)
+    defect = divergence_defect(g)
     assert defect is None or defect.is_zero()
 
 
@@ -236,7 +236,7 @@ def test_divergence_free_family_lifts_to_closed_form():
     rng = random.Random(15)
     spec = spec_for(2, 2, 1, "diagonal")
     fam = divergence_free_family(spec, rng)
-    defect = divergence_defect(spec, fam)
+    defect = divergence_defect(fam)
     assert defect is None or defect.is_zero()
     F = vs_lift(spec, fam)
     assert apply_T(spec, F).is_zero()

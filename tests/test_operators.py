@@ -221,7 +221,7 @@ def test_tensor_triple_agreement():
         for M, I, a, b in rng.sample(keys, min(6, len(keys))):
             v = A.value(M, I, a, b)
             assert v == coeff_entry_direct(spec, q, M, I, a, b, top=top)
-            assert v == coeff_entry_closed_form(spec, q, M, I, a, b, top=top)
+            assert v == coeff_entry_closed_form(spec, M, I, a, b, top=top)
 
 
 def test_single_entry_routes_agree_on_every_entry():
@@ -246,11 +246,11 @@ def test_single_entry_routes_agree_on_every_entry():
             for q in range(width + 1):
                 for M, I in itertools.product(labels(width, q), repeat=2):
                     for a, b in itertools.product(alphas, repeat=2):
-                        assert (coeff_entry_closed_form(spec, q, M, I, a, b, top)
+                        assert (coeff_entry_closed_form(spec, M, I, a, b, top)
                                 == coeff_entry_direct(spec, q, M, I, a, b, top))
     # ordering(0, 2) = (3,) lies outside the source labels {1, 2}
-    assert coeff_entry_closed_form(spec_for(2, 2, 1), 0, (), (), (0, 2),
-                                   (0, 2), top=True) == 0
+    assert coeff_entry_closed_form(spec_for(2, 2, 1), (), (), (0, 2), (0, 2),
+                                   top=True) == 0
 
 
 def test_tensor_hand_computed_entry():

@@ -105,13 +105,6 @@ def test_sampling_aliases_high_modes():
     assert np.max(np.abs(hi.sample(16) - lo.sample(16))) < 1e-12
 
 
-def test_serialization_roundtrip():
-    rng = random.Random(5)
-    for _ in range(10):
-        f = random_trigpoly(rng, 3)
-        assert TrigPoly.from_obj(f.to_obj()) == f
-
-
 # ---- hot-path equivalence: one-pass diff_alpha, trusted constructor -------
 
 FIXED = settings(derandomize=True, database=None, deadline=None,

@@ -90,7 +90,7 @@ CORRUPTIONS = [
      lambda real: lambda *args: real(*args) + 1, "tensor_direct_spot"),
     (verify, "vs_reduction", lambda real: lambda spec, F: {
         a: g.scale(-1) for a, g in real(spec, F).items()}, "reduction_roundtrip"),
-    (verify, "divergence_defect", lambda real: lambda spec, g: real(spec, g)
+    (verify, "divergence_defect", lambda real: lambda g: real(g)
      + next(iter(g.values())), "divergence_defect_zero"),
     (verify, "top_coeff_tensor", lambda real: lambda spec, q: operators.CoeffTensor(
         spec, q, True, {key: -v for key, v in real(spec, q).entries.items()}),
