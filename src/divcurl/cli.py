@@ -12,13 +12,15 @@ All JSON output is canonical (sorted keys, two-space indent, trailing
 newline) so runs with equal inputs are byte identical.  The Laplacian's
 entry rows, up to 30 MB of them, are formatted directly in the bytes that
 json.dumps(..., sort_keys=True, indent=2) would give, one cached text per
-repeated label or multi-index; the golden sha256 hashes in
+repeated label or multi-index, and written in blocks of _BLOCK rows, so
+the document is never held whole; the golden sha256 hashes in
 tests/test_cli.py guard those bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -28,22 +30,28 @@ from .operators import box_coeff_tensor, spec_for, top_coeff_tensor
 from .symbol import box_symbol, ellipticity_scan
 
 
-def _emit(payload: str, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+_BLOCK = 4096  # Laplacian rows per written chunk
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, so main prints it as one line."""
+    @staticmethod
+    def error(message):
+        raise ValueError(message)
+
+
+def _emit(text: str, fh):
+    fh.write(text)
 
 
 def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _cmd_increments(args) -> int:
+def _cmd_increments(args):
     admissible, rejected = increment_scan(args.n, args.k)
     if args.format == "json":
-        obj = {
+        return _json({
             "schema": "divcurl.increments/1",
             "package_version": __version__,
             "n": args.n,
@@ -53,21 +61,14 @@ def _cmd_increments(args) -> int:
                            for s in admissible],
             "rejected": [{"ell": s.ell, "N": s.N,
                           "reason": "N < n - 1 + ell"} for s in rejected],
-        }
-        _emit(_json(obj), args.out)
-    elif args.format == "csv":
-        lines = ["ell,N,m"]
-        lines += [f"{s.ell},{s.N},{s.m}" for s in admissible]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = [f"admissible increments for n={args.n}, k={args.k} "
-                 f"(m={admissible[0].m if admissible else 0}):"]
-        for s in admissible:
-            lines.append(f"  ell={s.ell}  N={s.N}")
-        for s in rejected:
-            lines.append(f"  rejected ell={s.ell} (N={s.N}): N < n - 1 + ell")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        })
+    if args.format == "csv":
+        return ["ell,N,m"] + [f"{s.ell},{s.N},{s.m}" for s in admissible]
+    return ([f"admissible increments for n={args.n}, k={args.k} "
+             f"(m={admissible[0].m if admissible else 0}):"]
+            + [f"  ell={s.ell}  N={s.N}" for s in admissible]
+            + [f"  rejected ell={s.ell} (N={s.N}): N < n - 1 + ell"
+               for s in rejected])
 
 
 def _index_text(t, cache) -> str:
@@ -80,26 +81,21 @@ def _index_text(t, cache) -> str:
     return text
 
 
-def _laplacian_json(obj, rows) -> str:
-    """_json(obj) with the sorted (M, I, alpha, beta, value) rows under
-    "entries", the first of its sorted keys.  One join builds the text,
-    so the document is held once beside its row strings."""
+def _laplacian_json(obj, rows):
+    """Yields _json(obj) with the sorted (M, I, alpha, beta, value) rows
+    under "entries", the first of its sorted keys, _BLOCK rows a chunk."""
     cache = {}
-    parts = [
-        f"    [\n      {_index_text(M, cache)},\n      {_index_text(I, cache)},"
-        f"\n      {_index_text(a, cache)},\n      {_index_text(b, cache)},"
-        f"\n      {v}\n    ]"
-        for (M, I, a, b), v in rows]
-    if parts:
-        parts[0] = '{\n  "entries": [\n' + parts[0]
-        parts[-1] += "\n  ]"
-    else:
-        parts = ['{\n  "entries": []']
-    parts[-1] += ",\n" + _json(obj)[2:]
-    return ",\n".join(parts)
+    yield '{\n  "entries": ['
+    for start in range(0, len(rows), _BLOCK):
+        yield ("," if start else "") + ",".join(
+            f"\n    [\n      {_index_text(M, cache)},\n      "
+            f"{_index_text(I, cache)},\n      {_index_text(a, cache)},\n      "
+            f"{_index_text(b, cache)},\n      {v}\n    ]"
+            for (M, I, a, b), v in rows[start:start + _BLOCK])
+    yield ("\n  ]" if rows else "]") + ",\n" + _json(obj)[2:]
 
 
-def _cmd_laplacian(args) -> int:
+def _cmd_laplacian(args):
     spec = spec_for(args.n, args.k, args.ell, kind=args.ordering)
     width = spec.n if args.source else spec.N
     q = args.q if args.q is not None else min(spec.ell, width)
@@ -108,29 +104,24 @@ def _cmd_laplacian(args) -> int:
     kronecker = tensor.is_kronecker()
     rows = sorted(tensor.entries.items())
     if args.format == "json":
-        obj = {
+        return _laplacian_json({
             "schema": "divcurl.laplacian/1",
             "package_version": __version__,
             "spec": spec.describe(),
             "q": q,
             "source_space": args.source,
             "kronecker": kronecker,
-        }
-        _emit(_laplacian_json(obj, rows), args.out)
-    else:
-        lines = [f"Laplacian tensor n={args.n} k={args.k} ell={args.ell} "
-                 f"N={spec.N} q={q} ordering={args.ordering}"
-                 + (" (source space)" if args.source else ""),
-                 f"entries: {len(rows)}  kronecker: {kronecker}"]
-        for (M, I, a, b), v in rows:
-            lines.append(f"  M={M} I={I} alpha={a} beta={b}: {v:+d}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        }, rows)
+    return [f"Laplacian tensor n={args.n} k={args.k} ell={args.ell} "
+            f"N={spec.N} q={q} ordering={args.ordering}"
+            + (" (source space)" if args.source else ""),
+            f"entries: {len(rows)}  kronecker: {kronecker}"] + [
+        f"  M={M} I={I} alpha={a} beta={b}: {v:+d}"
+        for (M, I, a, b), v in rows]
 
 
-def _cmd_symbol(args) -> int:
+def _cmd_symbol(args):
     spec = spec_for(args.n, args.k, args.ell, kind=args.ordering)
-    width = spec.n if args.source else spec.N
     q = args.q if args.q is not None else 0
     if args.xi is not None:
         from fractions import Fraction
@@ -140,45 +131,37 @@ def _cmd_symbol(args) -> int:
         except ZeroDivisionError:
             raise ValueError(f"--xi {args.xi}: zero denominator") from None
         labs, S = box_symbol(spec, q, xi, source=args.source)
-        obj = {
-            "schema": "divcurl.symbol/1",
-            "package_version": __version__,
-            "spec": spec.describe(),
-            "q": q,
-            "source_space": args.source,
-            "xi": [str(x) for x in xi],
-            "labels": [list(L) for L in labs],
-            "matrix": [[str(v) for v in row] for row in S],
-        }
         if args.format == "json":
-            _emit(_json(obj), args.out)
-        else:
-            lines = [f"symbol at xi={args.xi} (q={q}):"]
-            for L, row in zip(labs, S):
-                lines.append(f"  {L}: " + "  ".join(str(v) for v in row))
-            _emit("\n".join(lines) + "\n", args.out)
-    else:
-        report = ellipticity_scan(spec, q, source=args.source,
-                                  samples=args.samples, seed=args.seed)
-        report["schema"] = "divcurl.symbol-scan/1"
-        report["package_version"] = __version__
-        if args.format == "json":
-            _emit(_json(report), args.out)
-        else:
-            lines = [
-                f"ellipticity scan (q={q}"
-                + (", source space" if args.source else "")
-                + f", {report['directions_tested']} directions):",
-                f"  min quotient {report['min_quotient']:.6g}"
-                f" at xi={report['min_at']}",
-                f"  max quotient {report['max_quotient']:.6g}",
-                f"  degenerate directions found: "
-                f"{len(report['degenerate_witnesses'])}",
-            ]
-            for w in report["degenerate_witnesses"][:5]:
-                lines.append(f"    witness xi={list(w)}")
-            _emit("\n".join(lines) + "\n", args.out)
-    return 0
+            return _json({
+                "schema": "divcurl.symbol/1",
+                "package_version": __version__,
+                "spec": spec.describe(),
+                "q": q,
+                "source_space": args.source,
+                "xi": [str(x) for x in xi],
+                "labels": [list(L) for L in labs],
+                "matrix": [[str(v) for v in row] for row in S],
+            })
+        return [f"symbol at xi={args.xi} (q={q}):"] + [
+            f"  {L}: " + "  ".join(str(v) for v in row)
+            for L, row in zip(labs, S)]
+    report = ellipticity_scan(spec, q, source=args.source,
+                              samples=args.samples, seed=args.seed)
+    report["schema"] = "divcurl.symbol-scan/1"
+    report["package_version"] = __version__
+    if args.format == "json":
+        return _json(report)
+    return [
+        f"ellipticity scan (q={q}"
+        + (", source space" if args.source else "")
+        + f", {report['directions_tested']} directions):",
+        f"  min quotient {report['min_quotient']:.6g}"
+        f" at xi={report['min_at']}",
+        f"  max quotient {report['max_quotient']:.6g}",
+        f"  degenerate directions found: "
+        f"{len(report['degenerate_witnesses'])}",
+    ] + [f"    witness xi={list(w)}"
+         for w in report["degenerate_witnesses"][:5]]
 
 
 def _parse_cases(text):
@@ -193,6 +176,9 @@ def _parse_cases(text):
                              "'n,k,ell,ordering'")
         n, k, ell, kind = parts
         cases.append((int(n), int(k), int(ell), kind.strip()))
+    if not cases:
+        raise ValueError(f"--cases {text!r}: expected at least one "
+                         "'n,k,ell,ordering'")
     return cases
 
 
@@ -205,10 +191,10 @@ _SCOPES = {
 }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     from .verify import run_verify
 
-    cases = _parse_cases(args.cases) if args.cases else None
+    cases = _parse_cases(args.cases) if args.cases is not None else None
     report = run_verify(cases=cases, seed=args.seed, deep=args.deep)
     prefixes = _SCOPES[args.scope]
     if prefixes is not None:
@@ -219,22 +205,19 @@ def _cmd_verify(args) -> int:
         report["checks_failed"] = sum(not r["passed"] for r in records)
         report["all_passed"] = report["checks_failed"] == 0
         report["scope"] = args.scope
+    code = 0 if report["all_passed"] else 1
     if args.format == "json":
-        _emit(_json(report), args.out)
-    else:
-        lines = [f"identity battery: {report['checks_run']} checks, "
-                 f"{report['checks_failed']} failed"]
-        for r in report["records"]:
-            if not r["passed"]:
-                lines.append(f"  FAIL {r['name']} [{r['case']}] {r['detail']}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if report["all_passed"] else 1
+        return _json(report), code
+    return [f"identity battery: {report['checks_run']} checks, "
+            f"{report['checks_failed']} failed"] + [
+        f"  FAIL {r['name']} [{r['case']}] {r['detail']}"
+        for r in report["records"] if not r["passed"]], code
 
 
-def _cmd_ineq(args) -> int:
+def _cmd_ineq(args):
     from .inequalities import default_config, run_suite
 
-    if args.config:
+    if args.config is not None:
         with open(args.config) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
@@ -245,20 +228,16 @@ def _cmd_ineq(args) -> int:
         config["seed"] = args.seed
     report = run_suite(config)
     if args.format == "json":
-        _emit(_json(report), args.out)
-    else:
-        lines = [f"inequality probes (seed {report['seed']}):"]
-        for r in report["results"]:
-            summary = {k: v for k, v in r.items()
-                       if isinstance(v, (int, float)) and k != "q"}
-            parts = "  ".join(f"{k}={v:.4g}" for k, v in summary.items())
-            lines.append(f"  {r['kind']}: {parts}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return _json(report)
+    return [f"inequality probes (seed {report['seed']}):"] + [
+        f"  {r['kind']}: " + "  ".join(
+            f"{k}={v:.4g}" for k, v in r.items()
+            if isinstance(v, (int, float)) and k != "q")
+        for r in report["results"]]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="divcurl",
         description="higher order differential complexes: exact identities, "
                     "Laplacian tensors, symbols and inequality probes",
@@ -266,47 +245,44 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("increments", help="admissible degree increments")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    fmt = argparse.ArgumentParser(add_help=False, parents=[out])
+    fmt.add_argument("--format", choices=("json", "text"), default="json")
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("n", type=int)
+    spec.add_argument("k", type=int)
+    spec.add_argument("ell", type=int)
+    spec.add_argument("--ordering", default="lexicographic",
+                      choices=("lexicographic", "diagonal", "chained"))
+    spec.add_argument("--q", type=int, default=None,
+                      help="form degree (default: ell, or 0 for symbol)")
+    spec.add_argument("--source", action="store_true",
+                      help="restrict labels to the source space")
+
+    p = sub.add_parser("increments", parents=[out],
+                       help="admissible degree increments")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--format", choices=("json", "text", "csv"),
                    default="json")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_increments)
 
-    p = sub.add_parser("laplacian", help="Hodge Laplacian coefficient tensor")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("ell", type=int)
-    p.add_argument("--ordering", default="lexicographic",
-                   choices=("lexicographic", "diagonal", "chained"))
-    p.add_argument("--q", type=int, default=None,
-                   help="form degree (default: ell)")
-    p.add_argument("--source", action="store_true",
-                   help="restrict labels to the source space")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out")
+    p = sub.add_parser("laplacian", parents=[spec, fmt],
+                       help="Hodge Laplacian coefficient tensor")
     p.set_defaults(func=_cmd_laplacian)
 
-    p = sub.add_parser("symbol", help="exact symbol matrix or ellipticity scan")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("ell", type=int)
-    p.add_argument("--ordering", default="lexicographic",
-                   choices=("lexicographic", "diagonal", "chained"))
-    p.add_argument("--q", type=int, default=None)
+    p = sub.add_parser("symbol", parents=[spec, fmt],
+                       help="exact symbol matrix or ellipticity scan")
     p.add_argument("--xi", help="comma separated rational frequency, "
                                 "e.g. '1,-2/3'; one that starts with '-' "
                                 "needs '=': --xi=-1/2,0; omit to run a scan")
     p.add_argument("--samples", type=int, default=40,
                    help="random sphere directions when scanning")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--source", action="store_true")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_symbol)
 
-    p = sub.add_parser("verify", help="exact identity battery")
+    p = sub.add_parser("verify", parents=[fmt], help="exact identity battery")
     p.add_argument("--cases",
                    help="semicolon list 'n,k,ell,ordering;...' "
                         "(default: every admissible case for n,k <= 3)")
@@ -315,24 +291,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep every degree instead of a spread")
     p.add_argument("--scope", choices=sorted(_SCOPES), default="all",
                    help="restrict which check families are reported")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("ineq", help="numerical inequality probes")
+    p = sub.add_parser("ineq", parents=[fmt],
+                       help="numerical inequality probes")
     p.add_argument("--config", help="JSON probe configuration file")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_ineq)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Runs one subcommand, then writes the document it returns (text,
+    lines, or chunks of text; verify adds its exit code) to stdout or
+    --out.  Every error is one line on stderr and exit code 2."""
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        doc = args.func(args)
+        doc, code = doc if isinstance(doc, tuple) else (doc, 0)
+        if isinstance(doc, list):
+            doc = "\n".join(doc) + "\n"
+        with (open(args.out, "w") if args.out is not None
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            for chunk in [doc] if isinstance(doc, str) else doc:
+                _emit(chunk, fh)
+        return code
     except (ValueError, OSError) as exc:
         print(f"divcurl: error: {exc}", file=sys.stderr)
         return 2

@@ -45,6 +45,7 @@ wedge behind the pairing routes.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -451,25 +452,17 @@ def _tensor_by_summation(spec: OperatorSpec, q: int, top: bool) -> dict:
     """Sum over connecting labels, read off the raising table: T* T pairs
     the degree-q entries that share an output label L, T T* the degree
     q - ell entries that share an input label K."""
-    entries = {}
-
-    def put(key, val):
-        newval = entries.get(key, 0) + val
-        if newval == 0:
-            entries.pop(key, None)
-        else:
-            entries[key] = newval
-
+    entries = defaultdict(int)
     for group in _grouped(_t_table(spec, q, top), 2).values():
         for I, alpha, _, s1 in group:
             for M, beta, _, s2 in group:
-                put((M, I, alpha, beta), s1 * s2)
+                entries[M, I, alpha, beta] += s1 * s2
     if q >= spec.ell:
         for group in _grouped(_t_table(spec, q - spec.ell, top), 0).values():
             for _, alpha, M, s1 in group:
                 for _, beta, I, s2 in group:
-                    put((M, I, alpha, beta), s1 * s2)
-    return entries
+                    entries[M, I, alpha, beta] += s1 * s2
+    return {key: v for key, v in entries.items() if v}
 
 
 @lru_cache(maxsize=None)

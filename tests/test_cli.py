@@ -11,6 +11,7 @@ import pytest
 
 import divcurl
 import divcurl.operators as ops
+from divcurl import cli
 from divcurl.cli import build_parser, main
 
 
@@ -127,6 +128,18 @@ def test_output_matches_golden_hash(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[argv]
 
 
+def test_golden_laplacian_spans_several_row_blocks(capsys, monkeypatch):
+    """The N = 15 golden document (20,475 rows) is written in several
+    blocks, so its hash also guards the joins between blocks."""
+    argv = ("laplacian", "3", "4", "1", "--q", "4", "--ordering", "diagonal")
+    chunks = []
+    monkeypatch.setattr(cli, "_emit", lambda text, fh: chunks.append(text))
+    assert main(list(argv)) == 0
+    assert len(chunks) >= 4     # head, two or more row blocks, tail
+    digest = hashlib.sha256("".join(chunks).encode()).hexdigest()
+    assert digest == GOLDEN_SHA256[argv]
+
+
 @pytest.mark.parametrize("argv", [
     ("laplacian", "2", "3", "3", "--q", "2"),               # no entries
     ("laplacian", "2", "2", "2", "--q", "1", "--source"),   # no entries
@@ -134,9 +147,11 @@ def test_output_matches_golden_hash(capsys, argv):
     ("laplacian", "3", "2", "2", "--q", "1"),
     ("laplacian", "2", "2", "1", "--q", "1", "--ordering", "chained"),
 ], ids="-".join)
-def test_laplacian_rows_match_stdlib_json(capsys, tmp_path, argv):
+def test_laplacian_rows_match_stdlib_json(capsys, monkeypatch, tmp_path,
+                                          argv):
     """The directly formatted rows give the bytes of json.dumps on the
-    row-list layout, and --out writes what stdout prints."""
+    row-list layout, and --out, here in blocks of two rows, writes what
+    stdout prints."""
     args = build_parser().parse_args(argv)
     spec = ops.spec_for(args.n, args.k, args.ell, args.ordering)
     tensor = (ops.top_coeff_tensor(spec, args.q) if args.source
@@ -155,6 +170,7 @@ def test_laplacian_rows_match_stdlib_json(capsys, tmp_path, argv):
     assert code == 0
     assert out == json.dumps(obj, sort_keys=True, indent=2) + "\n"
     target = tmp_path / "tensor.json"
+    monkeypatch.setattr(cli, "_BLOCK", 2)
     code, printed = run_cli(capsys, *argv, "--out", str(target))
     assert code == 0 and printed == ""
     assert target.read_bytes() == out.encode()
@@ -297,6 +313,36 @@ def test_symbol_empty_xi_is_a_one_line_error(capsys):
     assert captured.out == ""
     assert captured.err == ("divcurl: error: Invalid literal for Fraction: "
                             "''\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--seed", "x"),
+    ("verify", "--scope", "nothing"),
+    ("laplacian", "2", "2", "1", "--ordering", "foo"),
+    (),                                         # no subcommand
+    ("increments", "2", "2", "--bogus"),        # unknown option
+    ("verify", "--cases", ""),
+    ("verify", "--cases", ";"),
+    ("increments", "2", "2", "--out", ""),
+    ("ineq", "--config", ""),
+], ids=lambda argv: "-".join(argv) or "none")
+def test_bad_input_is_a_one_line_error(capsys, argv):
+    """Usage errors and empty --cases, --out or --config values stop with
+    one stderr line and exit code 2; an empty value is not an absent one."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("divcurl: error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_failed_command_leaves_no_out_file(capsys, tmp_path):
+    target = tmp_path / "tensor.json"
+    code = main(["laplacian", "2", "2", "1", "--q", "9", "--out", str(target)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("divcurl: error: ")
+    assert not target.exists()
 
 
 def test_module_entry_point():
