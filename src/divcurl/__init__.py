@@ -15,7 +15,7 @@ from .multiindex import (
 )
 from .trigpoly import TrigPoly
 from .gridfield import GridField, grid_points
-from .randoms import random_trig_form, random_trigpoly
+from .randoms import divergence_free_family, random_trig_form, random_trigpoly
 from .forms import (
     Form,
     form_max_abs,
@@ -46,10 +46,13 @@ from .operators import (
     coeff_entry_closed_form,
     coeff_entry_direct,
     compose_TT,
+    divergence_defect,
     invariance_defect,
     spec_for,
     top_coeff_tensor,
     tt_single_orientation,
+    vs_lift,
+    vs_reduction,
 )
 from .symbol import (
     box_symbol,
@@ -63,13 +66,10 @@ from .symbol import (
 )
 from .inequalities import (
     BumpSpec,
-    bump_field,
     bump_form,
     classical_gn_ratio,
     default_config,
     dilate_form_specs,
-    divergence_defect,
-    divergence_free_family,
     duality_dilation_study,
     duality_ratio,
     gn_ratio,
@@ -79,7 +79,5 @@ from .inequalities import (
     random_bump_form,
     run_suite,
     scalar_symbol_array,
-    vs_lift,
-    vs_reduction,
 )
 from .verify import CheckRecord, default_cases, identity_suite, run_verify

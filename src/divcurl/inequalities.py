@@ -18,10 +18,6 @@ hodge_solve inverts the ell = 1 Hodge Laplacian spectrally (the symbol
 is scalar and positive away from the zero mode) and reports the
 reconstruction residuals, which measure how far the sampled data are
 from the discrete closed/coclosed subspaces.
-
-vs_reduction / vs_lift translate top-complement closed forms into
-families of scalar functions obeying a single k-th order divergence
-equation, and back; the round trip is the identity.
 """
 
 from __future__ import annotations
@@ -39,20 +35,12 @@ from .forms import (
     lp_norm,
     sobolev_norm,
 )
-from .gridfield import GridField, int_freqs
+from .gridfield import GridField, _deriv_multiplier, int_freqs
 from .multiindex import labels, multiindices
-from .operators import (
-    OperatorSpec,
-    apply_T,
-    apply_T_star_coordinate,
-    _apply,
-    _t_table,
-    spec_for,
-)
+from .operators import OperatorSpec, _apply, spec_for
 
 __all__ = [
     "BumpSpec",
-    "bump_field",
     "bump_form",
     "random_bump_form",
     "dilate_form_specs",
@@ -64,10 +52,6 @@ __all__ = [
     "classical_gn_ratio",
     "hodge_solve",
     "scalar_symbol_array",
-    "vs_reduction",
-    "vs_lift",
-    "divergence_free_family",
-    "divergence_defect",
     "run_suite",
     "default_config",
 ]
@@ -112,16 +96,15 @@ class BumpSpec:
         )
 
 
-def bump_field(n, P, bumps) -> GridField:
-    acc = np.zeros((P,) * n)
-    for b in bumps:
-        acc = acc + b.field(n, P)
-    return GridField(n, P, acc)
-
-
 def bump_form(n, N, q, spec_map, P) -> Form:
     """Assemble a grid form from {label: [BumpSpec, ...]}."""
-    coeffs = {lab: bump_field(n, P, bumps) for lab, bumps in spec_map.items() if bumps}
+    coeffs = {}
+    for lab, bumps in spec_map.items():
+        if bumps:
+            acc = np.zeros((P,) * n)
+            for b in bumps:
+                acc = acc + b.field(n, P)
+            coeffs[lab] = GridField(n, P, acc)
     return Form(n, N, q, coeffs, "grid", P)
 
 
@@ -272,8 +255,6 @@ def scalar_symbol_array(spec: OperatorSpec, P) -> np.ndarray:
     """
     if spec.ell != 1:
         raise ValueError("scalar symbol requires ell = 1")
-    from .gridfield import _deriv_multiplier
-
     sig = 0.0
     for alpha in multiindices(spec.n, spec.k):
         sig = sig + np.abs(_deriv_multiplier(spec.n, P, tuple(alpha))) ** 2
@@ -292,46 +273,34 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
     """
     if spec.ell != 1:
         raise ValueError("spectral inversion implemented for ell = 1")
-    if F is None and G is None:
+    # (datum, name, adjoint): F is checked and reconstructed through T and
+    # enters the right-hand side through T*; G the other way round
+    data = [(X, name, adjoint) for X, name, adjoint
+            in ((F, "F", False), (G, "G", True)) if X is not None]
+    if not data:
         raise ValueError("need at least one datum")
-    probe = F if F is not None else G
-    if probe.backend != "grid":
+    if data[0][0].backend != "grid":
         raise ValueError("hodge_solve works on the grid backend")
-    P = probe.grid_P()
+    P = data[0][0].grid_P()
     n, N = spec.n, spec.N
 
-    pieces = []
     info = {}
-    if F is not None:
-        if (F.n, F.N, F.q) != (n, N, q + 1):
-            raise ValueError("F must be a hybrid (q+1)-form")
-        scaleF = max(lp_norm(F, 2), 1e-30)
-        TF = _apply(spec, F, top=False, adjoint=False)
-        info["closedness_F"] = lp_norm(TF, 2) / scaleF
-        if info["closedness_F"] > closed_tol:
-            raise ValueError("F is not closed to the requested tolerance")
-        mean_ok = max((abs(float(c.mean())) for c in F.coeffs.values()), default=0.0)
-        info["mean_F"] = mean_ok
-        if mean_ok > closed_tol * scaleF:
-            raise ValueError("F must be mean free")
-        pieces.append(apply_T_star_coordinate(spec, F))
-    if G is not None:
-        if (G.n, G.N, G.q) != (n, N, q - 1):
-            raise ValueError("G must be a hybrid (q-1)-form")
-        scaleG = max(lp_norm(G, 2), 1e-30)
-        TsG = _apply(spec, G, top=False, adjoint=True)
-        info["coclosedness_G"] = lp_norm(TsG, 2) / scaleG
-        if info["coclosedness_G"] > closed_tol:
-            raise ValueError("G is not coclosed to the requested tolerance")
-        meang = max((abs(float(c.mean())) for c in G.coeffs.values()), default=0.0)
-        info["mean_G"] = meang
-        if meang > closed_tol * scaleG:
-            raise ValueError("G must be mean free")
-        pieces.append(apply_T(spec, G))
-
-    rhs = pieces[0]
-    for extra in pieces[1:]:
-        rhs = rhs + extra
+    rhs = None
+    for X, name, adjoint in data:
+        step, co = (-1, "co") if adjoint else (1, "")
+        if (X.n, X.N, X.q) != (n, N, q + step):
+            raise ValueError(f"{name} must be a hybrid (q{step:+d})-form")
+        scale = max(lp_norm(X, 2), 1e-30)
+        key = f"{co}closedness_{name}"
+        info[key] = lp_norm(_apply(spec, X, top=False, adjoint=adjoint), 2) / scale
+        if info[key] > closed_tol:
+            raise ValueError(f"{name} is not {co}closed to the requested tolerance")
+        info[f"mean_{name}"] = max((abs(float(c.mean())) for c in X.coeffs.values()),
+                                   default=0.0)
+        if info[f"mean_{name}"] > closed_tol * scale:
+            raise ValueError(f"{name} must be mean free")
+        piece = _apply(spec, X, top=False, adjoint=not adjoint)
+        rhs = piece if rhs is None else rhs + piece
 
     # modes where sigma vanishes (the zero mode, and Nyquist modes that
     # every multiplier drops) are mapped to 0
@@ -347,83 +316,10 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
         coeffs[lab] = GridField.from_spectrum(n, P, out)
     Z = Form(n, N, q, coeffs, "grid", P)
 
-    if F is not None:
-        info["residual_T"] = lp_norm(_apply(spec, Z, top=False, adjoint=False) - F, 2)
-    if G is not None:
-        info["residual_Tstar"] = lp_norm(_apply(spec, Z, top=False, adjoint=True) - G, 2)
+    for X, _, adjoint in data:
+        info["residual_Tstar" if adjoint else "residual_T"] = lp_norm(
+            _apply(spec, Z, top=False, adjoint=adjoint) - X, 2)
     return Z, info
-
-
-# ---- reduction to divergence form and back -----------------------------------
-
-
-def vs_reduction(spec: OperatorSpec, F: Form) -> dict:
-    """Scalar family {alpha: g_alpha} of a hybrid (N - ell)-form:
-
-        g_alpha = epsilon^{ordering(alpha) I}_{(1..N)} F_I,
-        I the complement of ordering(alpha),
-
-    read off the raising table at degree N - ell.  When T F = 0 the family
-    satisfies sum_alpha d^k g_alpha / dx^alpha = 0 in the same exact
-    arithmetic as F.
-    """
-    if (F.n, F.N) != (spec.n, spec.N):
-        raise ValueError("form does not live on the spec's hybrid space")
-    if F.q != spec.N - spec.ell:
-        raise ValueError("reduction needs degree N - ell")
-    out = {}
-    for I, alpha, _, sign in _t_table(spec, spec.N - spec.ell, False):
-        if I in F.coeffs and not F.coeffs[I].is_zero():
-            out[alpha] = F.coeffs[I].scale(sign)
-    return out
-
-
-def vs_lift(spec: OperatorSpec, g: dict) -> Form:
-    """Rebuild the (N - ell)-form whose reduction is the family g:
-
-        F_I = epsilon^{ordering(alpha) I}_{(1..N)} g_alpha,
-        I the complement of ordering(alpha).
-
-    Every key of g must be one of multiindices(n, k).
-    """
-    q = spec.N - spec.ell
-    complements = {alpha: (I, sign)
-                   for I, alpha, _, sign in _t_table(spec, q, False)}
-    coeffs = {}
-    for alpha, fn in g.items():
-        if alpha not in complements:
-            raise ValueError(f"family key {alpha!r} is not in "
-                             f"multiindices({spec.n}, {spec.k})")
-        I, sign = complements[alpha]
-        coeffs[I] = fn.scale(sign)
-    return Form(spec.n, spec.N, q, coeffs)
-
-
-def divergence_defect(g: dict):
-    """sum_alpha d^k g_alpha / dx^alpha (exact on the trig backend)."""
-    acc = None
-    for alpha, fn in g.items():
-        term = fn.diff_alpha(tuple(alpha))
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def divergence_free_family(spec: OperatorSpec, rng: random.Random) -> dict:
-    """A random exact-arithmetic family with vanishing k-th order divergence,
-    built from three antisymmetric pairs: g_a += d^b h, g_b -= d^a h."""
-    from .randoms import random_trigpoly
-
-    mis = multiindices(spec.n, spec.k)
-    g = {alpha: None for alpha in mis}
-    for _ in range(3):
-        ia, ib = rng.sample(range(len(mis)), 2)
-        alpha, beta = mis[ia], mis[ib]
-        h = random_trigpoly(rng, spec.n)
-        da = h.diff_alpha(beta)
-        db = h.diff_alpha(alpha)
-        g[alpha] = da if g[alpha] is None else g[alpha] + da
-        g[beta] = (db.scale(-1) if g[beta] is None else g[beta] + db.scale(-1))
-    return {a: fn for a, fn in g.items() if fn is not None and not fn.is_zero()}
 
 
 # ---- suite runner ------------------------------------------------------------
@@ -521,20 +417,14 @@ def _probe_hodge(entry, rng) -> dict:
             "closedness_F": info["closedness_F"]}
 
 
+# probe kind -> (probe function, keys its entry must carry)
 _PROBES = {
-    "duality": _probe_duality,
-    "gn": _probe_gn,
-    "gn_dilation": _probe_gn_dilation,
-    "classical_gn": _probe_classical_gn,
-    "hodge": _probe_hodge,
-}
-
-_REQUIRED_KEYS = {
-    "duality": ("n", "k", "q", "sigma_range"),
-    "gn": ("n", "k", "ell", "q", "sigma_range"),
-    "gn_dilation": ("n", "k", "ell", "q", "sigma_range", "lams"),
-    "classical_gn": ("n",),
-    "hodge": ("n", "k", "ell", "q"),
+    "duality": (_probe_duality, ("n", "k", "q", "sigma_range")),
+    "gn": (_probe_gn, ("n", "k", "ell", "q", "sigma_range")),
+    "gn_dilation": (_probe_gn_dilation,
+                    ("n", "k", "ell", "q", "sigma_range", "lams")),
+    "classical_gn": (_probe_classical_gn, ("n",)),
+    "hodge": (_probe_hodge, ("n", "k", "ell", "q")),
 }
 
 
@@ -576,7 +466,7 @@ def _check_config(config) -> None:
         kind = entry.get("kind")
         if not isinstance(kind, str) or kind not in _PROBES:
             raise ValueError(f"unknown probe kind {kind!r}")
-        missing = [key for key in _REQUIRED_KEYS[kind] if key not in entry]
+        missing = [key for key in _PROBES[kind][1] if key not in entry]
         if missing:
             raise ValueError(f"probe {i} ({kind}): missing required "
                              f"keys {missing}")
@@ -592,7 +482,7 @@ def run_suite(config: dict) -> dict:
     results = []
     for i, entry in enumerate(config.get("probes", [])):
         rng = random.Random(seed * 10007 + i)
-        results.append(_PROBES[entry["kind"]](entry, rng))
+        results.append(_PROBES[entry["kind"]][0](entry, rng))
     return {
         "schema": "divcurl.report/1",
         "package_version": __version__,

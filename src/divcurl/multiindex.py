@@ -232,8 +232,9 @@ class Ordering:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
 
 
-def make_ordering(n, k, ell, N, kind="lexicographic", table=None) -> Ordering:
-    """Build one of the named orderings, or a custom one from a table.
+def make_ordering(n, k, ell, N, kind="lexicographic") -> Ordering:
+    """Build one of the named orderings.  A custom ordering is built from
+    its table of (multi-index, label) pairs with Ordering itself.
 
     Kinds:
 
@@ -244,19 +245,9 @@ def make_ordering(n, k, ell, N, kind="lexicographic", table=None) -> Ordering:
       labels in order.
     * ``chained``: requires ell == 1 and k >= 2; (k,0,...,0) -> (1) and
       (1,0,..,k-1 in slot j,..,0) -> (j) for j >= 2, remainder in order.
-    * ``custom``: explicit table of (multiindex, label) pairs.
     """
     source = [embed_multiindex(a, N) for a in multiindices(n, k)]
     labs = list(labels(N, ell))
-    if len(source) != len(labs):
-        raise ValueError(
-            f"C({N},{ell})={len(labs)} != C({n - 1 + k},{k})={len(source)}; "
-            "no bijection exists"
-        )
-    if kind == "custom" or table is not None:
-        if table is None:
-            raise ValueError("custom ordering needs an explicit table")
-        return Ordering(n, k, ell, N, table, kind="custom")
     if kind == "lexicographic":
         return Ordering(n, k, ell, N, list(zip(source, labs)), kind=kind)
     if kind in ("diagonal", "chained"):

@@ -35,8 +35,10 @@ Laplacians, CoeffTensor.contract and tt_single_orientation all end
 there.
 
 _t_table is the only enumeration of the raising coupling: the summation
-tensor, the real T o T (_tt_table) and the scalar dictionary of
-vs_reduction are read off its cached entries.  The routes that check
+tensor, the real T o T (_tt_table) and the scalar dictionary (vs_reduction
+and vs_lift, in the section after the tensor code, which turn T F = 0 at
+degree N - ell into one k-th order divergence equation and back) are read
+off its cached entries.  The routes that check
 them keep their own signs, so a fault in _t_table cannot hide on both
 sides of a check: _tstar_table (built directly) behind the adjoint,
 the closed-form and direct-sum tensor entries, and forms.py's star and
@@ -81,6 +83,9 @@ __all__ = [
     "coeff_entry_direct",
     "coeff_entry_closed_form",
     "top_coeff_tensor",
+    "vs_reduction",
+    "vs_lift",
+    "divergence_defect",
     "invariance_defect",
 ]
 
@@ -556,6 +561,60 @@ def box_coeff_closed_form(spec: OperatorSpec, q: int, top: bool = False) -> Coef
                 if hit:
                     entries[(hit[0], I, alpha, beta)] = hit[1]
     return CoeffTensor(spec, q, top, entries)
+
+
+# ---- the scalar dictionary: reduction to divergence form and back -----------
+
+
+def vs_reduction(spec: OperatorSpec, F: Form) -> dict:
+    """Scalar family {alpha: g_alpha} of a hybrid (N - ell)-form:
+
+        g_alpha = epsilon^{ordering(alpha) I}_{(1..N)} F_I,
+        I the complement of ordering(alpha),
+
+    read off the raising table at degree N - ell.  When T F = 0 the family
+    satisfies sum_alpha d^k g_alpha / dx^alpha = 0 in the same exact
+    arithmetic as F.
+    """
+    if (F.n, F.N) != (spec.n, spec.N):
+        raise ValueError("form does not live on the spec's hybrid space")
+    if F.q != spec.N - spec.ell:
+        raise ValueError("reduction needs degree N - ell")
+    out = {}
+    for I, alpha, _, sign in _t_table(spec, spec.N - spec.ell, False):
+        if I in F.coeffs and not F.coeffs[I].is_zero():
+            out[alpha] = F.coeffs[I].scale(sign)
+    return out
+
+
+def vs_lift(spec: OperatorSpec, g: dict) -> Form:
+    """Rebuild the (N - ell)-form whose reduction is the family g:
+
+        F_I = epsilon^{ordering(alpha) I}_{(1..N)} g_alpha,
+        I the complement of ordering(alpha).
+
+    Every key of g must be one of multiindices(n, k).
+    """
+    q = spec.N - spec.ell
+    complements = {alpha: (I, sign)
+                   for I, alpha, _, sign in _t_table(spec, q, False)}
+    coeffs = {}
+    for alpha, fn in g.items():
+        if alpha not in complements:
+            raise ValueError(f"family key {alpha!r} is not in "
+                             f"multiindices({spec.n}, {spec.k})")
+        I, sign = complements[alpha]
+        coeffs[I] = fn.scale(sign)
+    return Form(spec.n, spec.N, q, coeffs)
+
+
+def divergence_defect(g: dict):
+    """sum_alpha d^k g_alpha / dx^alpha (exact on the trig backend)."""
+    acc = None
+    for alpha, fn in g.items():
+        term = fn.diff_alpha(tuple(alpha))
+        acc = term if acc is None else acc + term
+    return acc
 
 
 # ---- invariance under rotations ---------------------------------------------

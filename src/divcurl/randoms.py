@@ -6,13 +6,14 @@ import random
 from fractions import Fraction
 
 from .forms import Form
-from .multiindex import labels
+from .multiindex import labels, multiindices
 from .trigpoly import COS, SIN, TrigPoly
 
 __all__ = [
     "random_rational",
     "random_trigpoly",
     "random_trig_form",
+    "divergence_free_family",
 ]
 
 
@@ -42,3 +43,20 @@ def random_trig_form(rng: random.Random, n, N, q, components=3) -> Form:
         if not poly.is_zero():
             coeffs[lab] = poly
     return Form(n, N, q, coeffs, backend="trig")
+
+
+def divergence_free_family(spec, rng: random.Random) -> dict:
+    """A random exact-arithmetic family {alpha: g_alpha} over
+    multiindices(spec.n, spec.k) with vanishing k-th order divergence,
+    built from three antisymmetric pairs: g_a += d^b h, g_b -= d^a h."""
+    mis = multiindices(spec.n, spec.k)
+    g = {alpha: None for alpha in mis}
+    for _ in range(3):
+        ia, ib = rng.sample(range(len(mis)), 2)
+        alpha, beta = mis[ia], mis[ib]
+        h = random_trigpoly(rng, spec.n)
+        da = h.diff_alpha(beta)
+        db = h.diff_alpha(alpha)
+        g[alpha] = da if g[alpha] is None else g[alpha] + da
+        g[beta] = (db.scale(-1) if g[beta] is None else g[beta] + db.scale(-1))
+    return {a: fn for a, fn in g.items() if fn is not None and not fn.is_zero()}

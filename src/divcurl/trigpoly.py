@@ -155,7 +155,7 @@ class TrigPoly:
                 else:  # cos * sin
                     put(plus, SIN, c)
                     put(minus, SIN, -c)
-        return TrigPoly(self.n, acc)
+        return TrigPoly._canonical(self.n, {k: c for k, c in acc.items() if c})
 
     __rmul__ = __mul__
 

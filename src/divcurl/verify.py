@@ -34,18 +34,15 @@ from .operators import (
     box_coeff_tensor,
     coeff_entry_direct,
     compose_TT,
+    divergence_defect,
     spec_for,
     top_coeff_tensor,
     tt_single_orientation,
-)
-from .randoms import random_trig_form
-from .symbol import wave_symbol_check
-from .inequalities import (
-    divergence_defect,
-    divergence_free_family,
     vs_lift,
     vs_reduction,
 )
+from .randoms import divergence_free_family, random_trig_form
+from .symbol import wave_symbol_check
 
 __all__ = ["CheckRecord", "default_cases", "identity_suite", "run_verify"]
 

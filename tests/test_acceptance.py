@@ -21,18 +21,22 @@ from divcurl.inequalities import (
     bump_form,
     classical_gn_ratio,
     dilate_form_specs,
-    divergence_defect,
-    divergence_free_family,
     duality_ratio,
     gn_ratio,
     hodge_solve,
     random_bump_form,
+)
+from divcurl.multiindex import random_ordering
+from divcurl.operators import (
+    OperatorSpec,
+    apply_T,
+    divergence_defect,
+    invariance_defect,
+    spec_for,
     vs_lift,
     vs_reduction,
 )
-from divcurl.multiindex import random_ordering
-from divcurl.operators import OperatorSpec, apply_T, invariance_defect, spec_for
-from divcurl.randoms import random_trig_form
+from divcurl.randoms import divergence_free_family, random_trig_form
 from divcurl.symbol import box_symbol, ellipticity_scan, lh_quotient
 from divcurl.trigpoly import TrigPoly
 from divcurl.verify import identity_suite

@@ -1,7 +1,8 @@
 """Every name an import binds is used in its module or listed in __all__:
 an ast scan of the package (except its re-exporting __init__), the tests
 and the demos.  Every parameter of every function in the package, with or
-without a default, is read by its function's body."""
+without a default, is read by its function's body.  Every name in a
+package module's __all__ is bound in that module."""
 
 import ast
 from pathlib import Path
@@ -59,4 +60,34 @@ def test_no_unused_imports():
     files = [p for d in ("src/divcurl", "tests", "demos")
              for p in (ROOT / d).glob("*.py") if p.name != "__init__.py"]
     found = {str(p.relative_to(ROOT)): unused_imports(p.read_text()) for p in files}
+    assert {p: u for p, u in found.items() if u} == {}
+
+
+def unbound_exports(source: str) -> list:
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+            if ast.unparse(targets[0]) == "__all__":
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+def test_scan_flags_an_unbound_export():
+    src = ("from os import sep\nimport os.path\nX: int = 1\nY, Z = 2, 3\n"
+           "def f():\n    g = 0\n    return g\nclass C:\n    pass\n"
+           "__all__ = ['sep', 'os', 'X', 'Y', 'Z', 'f', 'C', 'g', 'gone']\n")
+    assert unbound_exports(src) == ["g", "gone"]
+
+
+def test_every_export_is_bound():
+    found = {p.name: unbound_exports(p.read_text())
+             for p in (ROOT / "src/divcurl").glob("*.py")}
     assert {p: u for p, u in found.items() if u} == {}

@@ -1,6 +1,7 @@
 """Bump probes, inequality ratios, spectral inversion and scalar reduction."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,6 @@ from divcurl.inequalities import (
     BumpSpec,
     classical_gn_ratio,
     default_config,
-    divergence_defect,
-    divergence_free_family,
     duality_dilation_study,
     duality_ratio,
     gn_ratio,
@@ -22,12 +21,18 @@ from divcurl.inequalities import (
     random_bump_form,
     run_suite,
     scalar_symbol_array,
+)
+from divcurl.multiindex import complement, multiindices, random_ordering
+from divcurl.operators import (
+    OperatorSpec,
+    apply_T,
+    apply_Top,
+    divergence_defect,
+    spec_for,
     vs_lift,
     vs_reduction,
 )
-from divcurl.multiindex import complement, multiindices, random_ordering
-from divcurl.operators import OperatorSpec, apply_T, apply_Top, spec_for
-from divcurl.randoms import random_trig_form
+from divcurl.randoms import divergence_free_family, random_trig_form
 from divcurl.trigpoly import TrigPoly
 from divcurl.verify import default_cases
 
@@ -143,20 +148,31 @@ def test_hodge_solve_grid_exact_both_parities():
 
 
 def test_hodge_solve_rejects_bad_data():
+    """Each bad datum, on the F side and on the G side, raises its own
+    message."""
     rng = random.Random(12)
     spec = spec_for(2, 1, 1)
     junk, _ = random_bump_form(rng, 2, 2, 1, 32, components=2)
-    with pytest.raises(ValueError, match="not closed"):
-        hodge_solve(spec, 0, F=junk)
-    # closed but not mean free: constant-coefficient form
+    # closed and coclosed but not mean free: constant-coefficient form
     const = Form(2, 2, 1, {(1,): GridField(2, 32, np.ones((32, 32)))},
                  backend="grid")
-    with pytest.raises(ValueError, match="mean free"):
-        hodge_solve(spec, 0, F=const)
-    with pytest.raises(ValueError):
-        hodge_solve(spec, 0)  # no data at all
-    with pytest.raises(ValueError):
-        hodge_solve(spec_for(2, 2, 2), 0, F=junk)  # ell = 2 unsupported
+    exact = random_trig_form(rng, 2, 2, 1)
+    cases = [
+        (spec, 0, {"F": junk}, "F is not closed to the requested tolerance"),
+        (spec, 0, {"F": const}, "F must be mean free"),
+        (spec, 1, {"F": junk}, "F must be a hybrid (q+1)-form"),
+        (spec, 2, {"G": junk}, "G is not coclosed to the requested tolerance"),
+        (spec, 2, {"G": const}, "G must be mean free"),
+        (spec, 0, {"G": junk}, "G must be a hybrid (q-1)-form"),
+        (spec, 0, {"F": exact}, "hodge_solve works on the grid backend"),
+        (spec, 2, {"G": exact}, "hodge_solve works on the grid backend"),
+        (spec, 0, {}, "need at least one datum"),
+        (spec_for(2, 2, 2), 0, {"F": junk},
+         "spectral inversion implemented for ell = 1"),
+    ]
+    for spec_, q, data, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            hodge_solve(spec_, q, **data)
 
 
 def test_reduction_and_lift_are_mutually_inverse():

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from divcurl.multiindex import (
+    Ordering,
     complement,
     epsilon,
     labels,
@@ -194,8 +195,8 @@ def test_ordering_validation_rejects_bad_tables():
     # two multi-indices sent to the same label
     bad = [(mis[0] + (0,), labs[0]), (mis[1] + (0,), labs[0]),
            (mis[2] + (0,), labs[1])]
-    with pytest.raises(ValueError):
-        make_ordering(2, 2, 1, 3, kind="custom", table=bad)
+    with pytest.raises(ValueError, match="not a bijection onto the labels"):
+        Ordering(2, 2, 1, 3, bad)
     with pytest.raises(ValueError):
         make_ordering(2, 2, 1, 4, kind="lexicographic")  # C(4,1) != 3
     with pytest.raises(ValueError):

@@ -42,6 +42,8 @@ def test_product_to_sum_small_cases():
     # sin(x)cos(x) = sin(2x)/2
     s = TrigPoly.wave(1, (1,), SIN, 1)
     assert s * c == TrigPoly.wave(1, (2,), SIN, Fraction(1, 2))
+    # (cos x + sin x)^2 = 1 + sin(2x): the cos(2x) sums cancel and are dropped
+    assert (c + s) * (c + s) == TrigPoly.const(1, 1) + TrigPoly.wave(1, (2,), SIN, 1)
     # orthogonality of distinct waves under the mean
     for w1 in [(1, 0), (2, 1)]:
         for w2 in [(0, 1), (1, 2)]:
