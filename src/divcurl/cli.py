@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import json
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .increments import increment_scan
@@ -236,7 +237,10 @@ def _cmd_ineq(args):
         for r in report["results"]]
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built at its first call; parsing
+    keeps no state in it, so every main call shares it."""
     ap = _Parser(
         prog="divcurl",
         description="higher order differential complexes: exact identities, "

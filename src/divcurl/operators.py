@@ -39,15 +39,30 @@ tensor, the real T o T (_tt_table) and the scalar dictionary (vs_reduction
 and vs_lift, in the section after the tensor code, which turn T F = 0 at
 degree N - ell into one k-th order divergence equation and back) are read
 off its cached entries.  The routes that check
-them keep their own signs, so a fault in _t_table cannot hide on both
+them keep their own loops, so a fault in _t_table cannot hide on both
 sides of a check: _tstar_table (built directly) behind the adjoint,
 the closed-form and direct-sum tensor entries, and forms.py's star and
 wedge behind the pairing routes.
+
+Inside the builders a label is an int bitmask (sum of 1 << x), and the
+output label of an entry is looked up by mask in _label_index; labels
+stay tuples at every boundary: table entries, CoeffTensor.entries and
+JSON.  Two sign routes exist:
+
+* _sort_sign, the parity of sum_{x in a} popcount(B & ((1 << x) - 1)),
+  gives every sign of _t_table, _tstar_table and the closed form
+  (_overlap_row, shared by box_coeff_closed_form and
+  coeff_entry_closed_form; it reads no table);
+* multiindex.perm_sign_between, the reference sign, serves forms.py's
+  hodge_star, complement and wedge and coeff_entry_direct here.
+
+So the star-conjugate adjoint route and the literal-sum entries check
+the mask arithmetic.  _tensor_by_summation sums on packed int keys and
+turns only the nonzero sums into tuple keys.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -146,6 +161,30 @@ def _width(spec: OperatorSpec, top: bool) -> int:
     return spec.n if top else spec.N
 
 
+def _mask(label) -> int:
+    """A label as an int bitmask: the sum of 1 << x over its entries."""
+    m = 0
+    for x in label:
+        m |= 1 << x
+    return m
+
+
+def _sort_sign(a, B: int) -> int:
+    """Sign of sorting the concatenation a + B, for a sorted label a and
+    the mask B of a label disjoint from it: the parity of the pairs
+    x in a, y in B with y < x."""
+    count = 0
+    for x in a:
+        count += (B & ((1 << x) - 1)).bit_count()
+    return -1 if count & 1 else 1
+
+
+@lru_cache(maxsize=None)
+def _label_index(width: int, q: int) -> dict:
+    """{mask: label} over labels(width, q), in their order."""
+    return {_mask(L): L for L in labels(width, q)}
+
+
 @lru_cache(maxsize=None)
 def _t_table(spec: OperatorSpec, q: int, top: bool):
     """Entries (I, alpha, L, sign) of the degree-raising action at degree q.
@@ -153,32 +192,28 @@ def _t_table(spec: OperatorSpec, q: int, top: bool):
     With top=True all labels are constrained to {1..n} (the source-space
     operator); otherwise they run over {1..N}.
     """
+    width = _width(spec, top)
+    index = _label_index(width, q)
+    if q + spec.ell > width:
+        return ()
+    out = _label_index(width, q + spec.ell)
     pairs = _image_alphas(spec, top)
-    entries = []
-    for I in labels(_width(spec, top), q):
-        setI = set(I)
-        for alpha, a in pairs:
-            if setI & set(a):
-                continue
-            L = tuple(sorted(a + I))
-            entries.append((I, alpha, L, perm_sign_between(a + I, L)))
-    return tuple(entries)
+    return tuple((I, alpha, out[mI | ma], _sort_sign(a, mI))
+                 for mI, I in index.items()
+                 for alpha, a, ma in pairs if not mI & ma)
 
 
 @lru_cache(maxsize=None)
 def _tstar_table(spec: OperatorSpec, q: int, top: bool):
     """Entries (I, beta, V, sign) of the coordinate adjoint at degree q:
     V of degree q - ell collects epsilon^{ordering(beta) V}_I terms."""
+    width = _width(spec, top)
+    lower = _label_index(width, q - spec.ell)
+    index = _label_index(width, q)
     pairs = _image_alphas(spec, top)
-    entries = []
-    for V in labels(_width(spec, top), q - spec.ell):
-        setV = set(V)
-        for beta, b in pairs:
-            if setV & set(b):
-                continue
-            I = tuple(sorted(b + V))
-            entries.append((I, beta, V, perm_sign_between(b + V, I)))
-    return tuple(entries)
+    return tuple((index[mV | mb], beta, V, _sort_sign(b, mV))
+                 for mV, V in lower.items()
+                 for beta, b, mb in pairs if not mV & mb)
 
 
 def _apply_table(F: Form, entries, out_q: int, width: int, overall=1) -> Form:
@@ -345,7 +380,9 @@ def _tt_table(spec: OperatorSpec, q: int):
     """Entries (I, alpha, beta, M, sign) of the real T o T at degree q: the
     raising tables of degrees q and q + ell composed through their shared
     label, so sign = epsilon^{b a I}_M.  Both orientations appear."""
-    up = _grouped(_t_table(spec, q + spec.ell, False), 0)
+    up = {}
+    for entry in _t_table(spec, q + spec.ell, False):
+        up.setdefault(entry[0], []).append(entry)
     return tuple((I, alpha, beta, M, s1 * s2)
                  for I, alpha, L, s1 in _t_table(spec, q, False)
                  for _, beta, M, s2 in up.get(L, ()))
@@ -430,7 +467,7 @@ class CoeffTensor:
         """True when C^{MI}_{alpha beta} = delta_MI delta_alpha,beta."""
         width = _width(self.spec, self.top)
         labs = set(labels(width, self.q))
-        alphas = {a for a, _ in _image_alphas(self.spec, self.top)}
+        alphas = {a for a, _, _ in _image_alphas(self.spec, self.top)}
         return (len(self.entries) == len(labs) * len(alphas)
                 and all(v == 1 and M == I and a == b and I in labs
                         and a in alphas
@@ -438,36 +475,65 @@ class CoeffTensor:
 
 
 def _image_alphas(spec: OperatorSpec, top: bool):
-    """(alpha, label) pairs of the ordering, restricted to {1..n} labels
-    in the source-space case."""
+    """(alpha, label, label mask) triples of the ordering, restricted to
+    {1..n} labels in the source-space case."""
     pairs = [(alpha, spec.ordering.label_of(alpha))
              for alpha in multiindices(spec.n, spec.k)]
-    return [(alpha, a) for alpha, a in pairs if not top or max(a) <= spec.n]
-
-
-def _grouped(entries, slot) -> dict:
-    """Table entries keyed by their input (slot 0) or output (slot 2) label."""
-    groups = {}
-    for entry in entries:
-        groups.setdefault(entry[slot], []).append(entry)
-    return groups
+    return [(alpha, a, _mask(a)) for alpha, a in pairs
+            if not top or max(a) <= spec.n]
 
 
 def _tensor_by_summation(spec: OperatorSpec, q: int, top: bool) -> dict:
     """Sum over connecting labels, read off the raising table: T* T pairs
     the degree-q entries that share an output label L, T T* the degree
-    q - ell entries that share an input label K."""
-    entries = defaultdict(int)
-    for group in _grouped(_t_table(spec, q, top), 2).values():
-        for I, alpha, _, s1 in group:
-            for M, beta, _, s2 in group:
-                entries[M, I, alpha, beta] += s1 * s2
-    if q >= spec.ell:
-        for group in _grouped(_t_table(spec, q - spec.ell, top), 0).values():
-            for _, alpha, M, s1 in group:
-                for _, beta, I, s2 in group:
-                    entries[M, I, alpha, beta] += s1 * s2
-    return {key: v for key, v in entries.items() if v}
+    q - ell entries that share an input label K.
+
+    The sums run on int keys ((iM m + b) S + iI m + a), with iM, iI the
+    positions of M and I in labels(width, q), a and b those of alpha and
+    beta among the m multi-indices, and S = m * len(labels(width, q));
+    each entry carries its share of the key in the place its labels take
+    in (M, I, alpha, beta).  Only the nonzero sums become tuple keys, in
+    the order their keys were first met.
+    """
+    labs = labels(_width(spec, top), q)
+    alphas = multiindices(spec.n, spec.k)
+    m = len(alphas)
+    S = m * len(labs)
+    row = {L: i * m for i, L in enumerate(labs)}
+    col = {alpha: i for i, alpha in enumerate(alphas)}
+
+    def up():  # T* T: the entry (I, alpha) meets the entry (M, beta) at L
+        groups = {}
+        for I, alpha, L, s in _t_table(spec, q, top):
+            u = row[I] + col[alpha]
+            groups.setdefault(L, []).append((u, u * S, s))
+        return groups
+
+    def down():  # T T*: the entry (M, alpha) meets the entry (I, beta) at K
+        groups = {}
+        if q >= spec.ell:
+            for K, alpha, M, s in _t_table(spec, q - spec.ell, top):
+                groups.setdefault(K, []).append(
+                    (row[M] * S + col[alpha], col[alpha] * S + row[M], s))
+        return groups
+
+    sums = {}
+    get = sums.get
+    for part in (up, down):  # one part's groups are held at a time
+        for group in part().values():
+            for x, _, s1 in group:
+                for _, y, s2 in group:
+                    key = x + y
+                    sums[key] = get(key, 0) + s1 * s2
+    nonzero = [(key, v) for key, v in sums.items() if v]
+    del sums, get  # the cancelled keys go before the tuple keys come
+    entries = {}
+    for key, v in nonzero:
+        hi, lo = divmod(key, S)
+        iM, b = divmod(hi, m)
+        iI, a = divmod(lo, m)
+        entries[labs[iM], labs[iI], alphas[a], alphas[b]] = v
+    return entries
 
 
 @lru_cache(maxsize=None)
@@ -505,61 +571,75 @@ def coeff_entry_direct(spec, q, M, I, alpha, beta, top=False) -> int:
     return total
 
 
-def _overlap_entry(ell, I, setI, a, set_a, b, set_b):
-    """The one M at which C^{MI}_{alpha beta} can be nonzero and the entry
-    there, or None; a = ordering(alpha), b = ordering(beta) and the shared
-    block is lam = a intersect b:
+def _overlap_row(ell, mI, a, ma, pairs):
+    """(beta, mask of M, entry) for each (beta, b, mb) of pairs with a
+    nonzero C^{MI}_{alpha beta}, at the one M where it can be nonzero;
+    mI is the mask of the label I, a = ordering(alpha) with mask ma,
+    b = ordering(beta) with mask mb, and the shared block is
+    lam = a intersect b:
 
     * lam disjoint from I gives the raising part epsilon^{a I}_{b M} at
-      M = (a union I) minus b, which needs a disjoint from I; when lam is
-      empty the lowering part equals (-1)^ell times it, giving the factor
-      (1 + (-1)^(ell^2));
+      M = (a union I) minus b, which needs a disjoint from I and b inside
+      a union I; when lam is empty the lowering part equals (-1)^ell
+      times it, giving the factor (1 + (-1)^(ell^2));
     * lam inside I gives the lowering part epsilon^{a K}_M epsilon^{b K}_I
       at M = a union K, K = I minus b, which needs b inside I and a
       disjoint from K;
     * every other overlap pattern gives zero.
+
+    Sorting a + I and then b + M gives epsilon^{a I}_{b M}; sorting a + K
+    and b + K gives the lowering signs.
     """
-    if set_a.isdisjoint(setI):  # raising; lam is disjoint from I too
-        factor = 1 + (-1) ** (ell * ell) if set_a.isdisjoint(set_b) else 1
-        if not factor or not set_b <= set_a | setI:
-            return None
-        M = tuple(t for t in sorted(a + I) if t not in set_b)
-        return M, factor * perm_sign_between(a + I, b + M)
-    if not set_b <= setI:  # lowering; b inside I puts lam inside I
-        return None
-    K = tuple(t for t in I if t not in set_b)
-    if not set_a.isdisjoint(K):
-        return None
-    M = tuple(sorted(a + K))
-    return M, perm_sign_between(a + K, M) * perm_sign_between(b + K, I)
+    row = []
+    if not ma & mI:  # raising; lam is disjoint from I too
+        union = ma | mI
+        sign_aI = _sort_sign(a, mI)
+        for beta, b, mb in pairs:
+            if mb & ~union:
+                continue
+            factor = 1 if mb & ma else 1 + (-1) ** (ell * ell)
+            if factor:
+                mM = union & ~mb
+                row.append((beta, mM, factor * sign_aI * _sort_sign(b, mM)))
+        return row
+    for beta, b, mb in pairs:  # lowering; b inside I puts lam inside I
+        mK = mI & ~mb
+        if mb & ~mI or ma & mK:
+            continue
+        row.append((beta, ma | mK, _sort_sign(a, mK) * _sort_sign(b, mK)))
+    return row
 
 
 def coeff_entry_closed_form(spec, M, I, alpha, beta, top=False) -> int:
     """One tensor entry from the overlap decomposition, no label sums;
-    zero when ordering(alpha) or ordering(beta) leaves {1..width}."""
+    zero when ordering(alpha) or ordering(beta) leaves {1..width}.  M and
+    I may be any arrangements of labels, each giving its sign as in
+    coeff_entry_direct."""
     width = _width(spec, top)
     a = spec.ordering.label_of(alpha)
     b = spec.ordering.label_of(beta)
     if max(a) > width or max(b) > width:
         return 0
-    I = tuple(I)
-    hit = _overlap_entry(spec.ell, I, set(I), a, set(a), b, set(b))
-    return hit[1] * perm_sign_between(hit[0], M) if hit else 0
+    mI = _mask(I)
+    index = _label_index(width, mI.bit_count())
+    for _, mM, v in _overlap_row(spec.ell, mI, a, _mask(a),
+                                 [(beta, b, _mask(b))]):
+        return (v * perm_sign_between(index[mM], M)
+                * perm_sign_between(index[mI], I))
+    return 0
 
 
 @lru_cache(maxsize=None)
 def box_coeff_closed_form(spec: OperatorSpec, q: int, top: bool = False) -> CoeffTensor:
     """Full tensor from the overlap decomposition: each (I, alpha, beta)
     has at most one M with a nonzero entry."""
-    pairs = [(alpha, a, set(a)) for alpha, a in _image_alphas(spec, top)]
+    pairs = _image_alphas(spec, top)
+    index = _label_index(_width(spec, top), q)
     entries = {}
-    for I in labels(_width(spec, top), q):
-        setI = set(I)
-        for alpha, a, set_a in pairs:
-            for beta, b, set_b in pairs:
-                hit = _overlap_entry(spec.ell, I, setI, a, set_a, b, set_b)
-                if hit:
-                    entries[(hit[0], I, alpha, beta)] = hit[1]
+    for mI, I in index.items():
+        for alpha, a, ma in pairs:
+            for beta, mM, v in _overlap_row(spec.ell, mI, a, ma, pairs):
+                entries[index[mM], I, alpha, beta] = v
     return CoeffTensor(spec, q, top, entries)
 
 

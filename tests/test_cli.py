@@ -345,23 +345,37 @@ def test_failed_command_leaves_no_out_file(capsys, tmp_path):
     assert not target.exists()
 
 
-def test_module_entry_point():
-    """python -m divcurl runs main and exits with its code."""
+def run_module(*argv):
+    """python -m divcurl in a new process, on this checkout's src/."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "divcurl", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
-    def run(*argv):
-        return subprocess.run([sys.executable, "-m", "divcurl", *argv],
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
 
-    assert run("--version").returncode == 0
-    done = run("verify", "--scope", "symbol", "--format", "text")
+def test_module_entry_point():
+    """python -m divcurl runs main and exits with its code."""
+    assert run_module("--version").returncode == 0
+    done = run_module("verify", "--scope", "symbol", "--format", "text")
     assert done.returncode == 0 and done.stdout
-    done = run("symbol", "2", "2", "1", "--samples", "0")
+    done = run_module("symbol", "2", "2", "1", "--samples", "0")
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == ("divcurl: error: samples must be at least 1, "
                            "got 0\n")
+
+
+def test_one_parser_serves_every_call(capsys):
+    """main parses with one cached parser; calls with different options in
+    one process each print what the same call prints in a new process."""
+    base = ["laplacian", "3", "2", "2", "--q", "1"]
+    argvs = [base + ["--source"], base, base + ["--format", "text"], base]
+    outputs = [run_cli(capsys, *argv) for argv in argvs]
+    assert build_parser() is build_parser()
+    assert outputs[1] == outputs[3]
+    assert len({out for _, out in outputs}) == 3
+    for argv, (code, out) in zip(argvs, outputs):
+        done = run_module(*argv)
+        assert (done.returncode, done.stdout) == (code, out), argv

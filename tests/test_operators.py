@@ -19,7 +19,12 @@ from divcurl.forms import (
     wedge,
 )
 from divcurl.increments import admissible_increments
-from divcurl.multiindex import labels, multiindices, random_ordering
+from divcurl.multiindex import (
+    labels,
+    multiindices,
+    perm_sign_between,
+    random_ordering,
+)
 from divcurl.operators import (
     OperatorSpec,
     apply_T,
@@ -206,6 +211,28 @@ def test_composition_degree_guard():
         compose_TT(spec, F)
 
 
+def test_mask_sign_matches_reference_sign():
+    """The bitmask sign of sorting A + B equals perm_sign_between for every
+    ordered pair of disjoint labels A, B over {1..8}: each slot lies in A,
+    in B or in neither, 3^8 pairs."""
+    for places in itertools.product(range(3), repeat=8):
+        A = tuple(x for x, p in zip(range(1, 9), places) if p == 1)
+        B = tuple(x for x, p in zip(range(1, 9), places) if p == 2)
+        assert (ops._sort_sign(A, ops._mask(B))
+                == perm_sign_between(A + B, sorted(A + B))), (A, B)
+
+
+def test_raising_table_is_empty_past_the_top_degree():
+    """No degree-q label leaves room for an ell-block once q + ell exceeds
+    the width, so the raising table there is empty, on both spaces."""
+    for spec in ADJOINT_SPECS:
+        for top in [False] + [True] * (spec.n >= spec.ell):
+            width = spec.n if top else spec.N
+            for q in range(max(width - spec.ell + 1, 0), width + 1):
+                assert ops._t_table(spec, q, top) == ()
+            assert ops._t_table(spec, width - spec.ell, top) != ()
+
+
 def test_tensor_triple_agreement():
     """Summation tensor == closed form == direct entry evaluation, on the
     hybrid space and (when n >= ell) on the source space."""
@@ -251,6 +278,13 @@ def test_single_entry_routes_agree_on_every_entry():
     # ordering(0, 2) = (3,) lies outside the source labels {1, 2}
     assert coeff_entry_closed_form(spec_for(2, 2, 1), (), (), (0, 2), (0, 2),
                                    top=True) == 0
+    # a reversed M or I (one swap at q = 2) carries its sign on both routes
+    spec = spec_for(3, 2, 2)
+    for M, I in itertools.product(labels(spec.N, 2), repeat=2):
+        for a, b in itertools.product(multiindices(3, 2), repeat=2):
+            for M2, I2 in ((M[::-1], I), (M, I[::-1])):
+                assert (coeff_entry_closed_form(spec, M2, I2, a, b)
+                        == coeff_entry_direct(spec, 2, M2, I2, a, b))
 
 
 def test_tensor_hand_computed_entry():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from divcurl import operators, verify
+from divcurl import operators, symbol, verify
 from divcurl.multiindex import Ordering
 from divcurl.verify import default_cases, identity_suite, run_verify
 
@@ -71,10 +71,17 @@ def _flip_first(table):
                  for j, (I, a, L, s) in enumerate(table))
 
 
+def _forget_lowest(real):
+    """The bitmask sign with the lowest slot of the mask B forgotten."""
+    return lambda a, B: real(a, B & (B - 1))
+
+
 # (module, name, corruption of the real one, record family that must fail);
 # a star flipped at q = 1 misses the own probe (q = 2), not the box probes.
 # A flipped _t_table sign cancels in the squared diagonal entries, the only
-# ones at q = 0 and q = N, so the tensor is checked at q = 2.
+# ones at q = 0 and q = N, so the tensor is checked at q = 2.  The bitmask
+# sign _sort_sign builds _t_table, _tstar_table and the closed form alike;
+# the star-conjugate adjoint route, on perm_sign_between, sees its mutant.
 CORRUPTIONS = [
     (verify, "inner_product_wedge",
      lambda real: lambda F, G: real(F, G) + 1, "adjoint_routes"),
@@ -95,19 +102,28 @@ CORRUPTIONS = [
     (verify, "top_coeff_tensor", lambda real: lambda spec, q: operators.CoeffTensor(
         spec, q, True, {key: -v for key, v in real(spec, q).entries.items()}),
      "source_tensor_closed_form"),
+    (operators, "_sort_sign", _forget_lowest, "adjoint_routes[q=1]"),
 ]
 
 
 @pytest.fixture
 def fresh_tables():
     """Corrupted tables must neither meet cached tensors nor leave any."""
-    caches = (operators._t_table, operators.box_coeff_tensor,
-              operators.top_coeff_tensor)
+    caches = (operators._t_table, operators._tstar_table,
+              operators.box_coeff_tensor, operators.top_coeff_tensor,
+              operators.box_coeff_closed_form, symbol._symbol_table)
     for cache in caches:
         cache.cache_clear()
     yield
     for cache in caches:
         cache.cache_clear()
+
+
+def test_sign_mutant_changes_a_sign():
+    """Sorting (2,) + (1,) is one swap; the mutant sees no swap."""
+    B = operators._mask((1,))
+    assert operators._sort_sign((2,), B) == -1
+    assert _forget_lowest(operators._sort_sign)((2,), B) == 1
 
 
 @pytest.mark.parametrize("module, name, corrupt, family", CORRUPTIONS,
