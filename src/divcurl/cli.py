@@ -240,7 +240,9 @@ def _cmd_ineq(args):
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built at its first call; parsing
-    keeps no state in it, so every main call shares it."""
+    keeps no state in it, so every main call shares it.  Only a process
+    that calls main more than once (a test suite, a benchmark harness)
+    gains from this; a divcurl command calls it once."""
     ap = _Parser(
         prog="divcurl",
         description="higher order differential complexes: exact identities, "

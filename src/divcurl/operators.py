@@ -47,18 +47,21 @@ wedge behind the pairing routes.
 Inside the builders a label is an int bitmask (sum of 1 << x), and the
 output label of an entry is looked up by mask in _label_index; labels
 stay tuples at every boundary: table entries, CoeffTensor.entries and
-JSON.  Two sign routes exist:
+JSON.  Two sign routes exist, and each check of a table sets one
+against the other:
 
+* multiindex.perm_sign_between, the reference sign, gives the signs of
+  _t_table (so of the summation tensor, _tt_table and the scalar
+  dictionary), of forms.py's hodge_star, complement and wedge, and of
+  coeff_entry_direct here;
 * _sort_sign, the parity of sum_{x in a} popcount(B & ((1 << x) - 1)),
-  gives every sign of _t_table, _tstar_table and the closed form
-  (_overlap_row, shared by box_coeff_closed_form and
-  coeff_entry_closed_form; it reads no table);
-* multiindex.perm_sign_between, the reference sign, serves forms.py's
-  hodge_star, complement and wedge and coeff_entry_direct here.
+  gives the signs of _tstar_table and of the closed form (_overlap_row,
+  shared by box_coeff_closed_form and coeff_entry_closed_form; it reads
+  no table).
 
-So the star-conjugate adjoint route and the literal-sum entries check
-the mask arithmetic.  _tensor_by_summation sums on packed int keys and
-turns only the nonzero sums into tuple keys.
+So the star-conjugate adjoint route and the summation = closed-form
+check each see a fault in either sign.  _tensor_by_summation sums on
+packed int keys and turns only the nonzero sums into tuple keys.
 """
 
 from __future__ import annotations
@@ -190,7 +193,9 @@ def _t_table(spec: OperatorSpec, q: int, top: bool):
     """Entries (I, alpha, L, sign) of the degree-raising action at degree q.
 
     With top=True all labels are constrained to {1..n} (the source-space
-    operator); otherwise they run over {1..N}.
+    operator); otherwise they run over {1..N}.  The signs come from the
+    reference perm_sign_between, not _sort_sign, so that the adjoint and
+    closed-form checks set the two against each other.
     """
     width = _width(spec, top)
     index = _label_index(width, q)
@@ -198,9 +203,13 @@ def _t_table(spec: OperatorSpec, q: int, top: bool):
         return ()
     out = _label_index(width, q + spec.ell)
     pairs = _image_alphas(spec, top)
-    return tuple((I, alpha, out[mI | ma], _sort_sign(a, mI))
-                 for mI, I in index.items()
-                 for alpha, a, ma in pairs if not mI & ma)
+    entries = []
+    for mI, I in index.items():
+        for alpha, a, ma in pairs:
+            if not mI & ma:
+                L = out[mI | ma]
+                entries.append((I, alpha, L, perm_sign_between(a + I, L)))
+    return tuple(entries)
 
 
 @lru_cache(maxsize=None)
@@ -612,21 +621,25 @@ def _overlap_row(ell, mI, a, ma, pairs):
 
 def coeff_entry_closed_form(spec, M, I, alpha, beta, top=False) -> int:
     """One tensor entry from the overlap decomposition, no label sums;
-    zero when ordering(alpha) or ordering(beta) leaves {1..width}.  M and
-    I may be any arrangements of labels, each giving its sign as in
-    coeff_entry_direct."""
+    zero when ordering(alpha) or ordering(beta) leaves {1..width}.  As in
+    coeff_entry_direct, M and I may be any arrangements of labels, each
+    giving its sign, and a repeated entry or one outside {1..width}
+    gives zero."""
     width = _width(spec, top)
     a = spec.ordering.label_of(alpha)
     b = spec.ordering.label_of(beta)
-    if max(a) > width or max(b) > width:
+    I = tuple(I)
+    if (max(a) > width or max(b) > width or len(set(I)) != len(I)
+            or not set(I) <= set(range(1, width + 1))):
         return 0
     mI = _mask(I)
-    index = _label_index(width, mI.bit_count())
-    for _, mM, v in _overlap_row(spec.ell, mI, a, _mask(a),
-                                 [(beta, b, _mask(b))]):
-        return (v * perm_sign_between(index[mM], M)
-                * perm_sign_between(index[mI], I))
-    return 0
+    row = _overlap_row(spec.ell, mI, a, _mask(a), [(beta, b, _mask(b))])
+    if not row:
+        return 0
+    _, mM, v = row[0]
+    index = _label_index(width, len(I))
+    return (v * perm_sign_between(index[mM], M)
+            * perm_sign_between(index[mI], I))
 
 
 @lru_cache(maxsize=None)

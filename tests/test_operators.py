@@ -285,6 +285,13 @@ def test_single_entry_routes_agree_on_every_entry():
             for M2, I2 in ((M[::-1], I), (M, I[::-1])):
                 assert (coeff_entry_closed_form(spec, M2, I2, a, b)
                         == coeff_entry_direct(spec, 2, M2, I2, a, b))
+    # a repeated entry, one outside {1..N} or too many give 0 on both routes
+    for I in ((1, 1), (0, 1), (-1, 2), (2, spec.N + 1),
+              tuple(range(1, spec.N + 2))):
+        for M in (I, (1, 2)):
+            for a, b in itertools.product(multiindices(3, 2), repeat=2):
+                assert coeff_entry_closed_form(spec, M, I, a, b) == 0
+                assert coeff_entry_direct(spec, len(I), M, I, a, b) == 0
 
 
 def test_tensor_hand_computed_entry():

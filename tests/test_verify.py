@@ -80,8 +80,8 @@ def _forget_lowest(real):
 # a star flipped at q = 1 misses the own probe (q = 2), not the box probes.
 # A flipped _t_table sign cancels in the squared diagonal entries, the only
 # ones at q = 0 and q = N, so the tensor is checked at q = 2.  The bitmask
-# sign _sort_sign builds _t_table, _tstar_table and the closed form alike;
-# the star-conjugate adjoint route, on perm_sign_between, sees its mutant.
+# sign _sort_sign signs _tstar_table and the closed form; the star-conjugate
+# adjoint route, on perm_sign_between and _t_table, sees its mutant.
 CORRUPTIONS = [
     (verify, "inner_product_wedge",
      lambda real: lambda F, G: real(F, G) + 1, "adjoint_routes"),
@@ -117,13 +117,6 @@ def fresh_tables():
     yield
     for cache in caches:
         cache.cache_clear()
-
-
-def test_sign_mutant_changes_a_sign():
-    """Sorting (2,) + (1,) is one swap; the mutant sees no swap."""
-    B = operators._mask((1,))
-    assert operators._sort_sign((2,), B) == -1
-    assert _forget_lowest(operators._sort_sign)((2,), B) == 1
 
 
 @pytest.mark.parametrize("module, name, corrupt, family", CORRUPTIONS,
