@@ -37,10 +37,7 @@ from .operators import (
     apply_T,
     apply_T_star,
     apply_T_star_coordinate,
-    apply_Top,
-    apply_Top_star,
     box_apply,
-    box_apply_top,
     box_coeff_closed_form,
     box_coeff_tensor,
     coeff_entry_closed_form,
@@ -49,7 +46,6 @@ from .operators import (
     divergence_defect,
     invariance_defect,
     spec_for,
-    top_coeff_tensor,
     tt_single_orientation,
     vs_lift,
     vs_reduction,

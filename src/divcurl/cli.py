@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from . import __version__
 from .increments import increment_scan
-from .operators import box_coeff_tensor, spec_for, top_coeff_tensor
+from .operators import box_coeff_tensor, spec_for
 from .symbol import box_symbol, ellipticity_scan
 
 
@@ -100,8 +100,7 @@ def _cmd_laplacian(args):
     spec = spec_for(args.n, args.k, args.ell, kind=args.ordering)
     width = spec.n if args.source else spec.N
     q = args.q if args.q is not None else min(spec.ell, width)
-    tensor = (top_coeff_tensor(spec, q) if args.source
-              else box_coeff_tensor(spec, q))
+    tensor = box_coeff_tensor(spec, q, args.source)
     kronecker = tensor.is_kronecker()
     rows = sorted(tensor.entries.items())
     if args.format == "json":

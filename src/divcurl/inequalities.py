@@ -180,8 +180,8 @@ def gn_ratio(spec: OperatorSpec, u: Form, assume=None,
     n, q = spec.n, u.q
     if q in (1, n - 1) and assume is None and not allow_excluded:
         raise ValueError(EXCLUDED_NOTE)
-    Tu = _apply(spec, u, top=True, adjoint=False)
-    Tsu = _apply(spec, u, top=True, adjoint=True)
+    Tu = _apply(spec, u, adjoint=False)
+    Tsu = _apply(spec, u, adjoint=True)
     scale = lp_norm(u, 1)
     if assume == "closed" and lp_norm(Tu, 1) > 1e-8 * max(scale, 1e-30):
         raise ValueError("input is not closed: ||T u||_1 > 1e-8 ||u||_1")
@@ -201,7 +201,7 @@ def make_closed_source(spec: OperatorSpec, q, rng, P) -> Form:
     if q < spec.ell:
         raise ValueError("no closed range forms below degree ell")
     phi, _ = random_bump_form(rng, spec.n, spec.n, q - spec.ell, P)
-    u = _apply(spec, phi, top=True, adjoint=False)
+    u = _apply(spec, phi, adjoint=False)
     if u.is_zero():
         raise ValueError("probe collapsed to zero; retry with another seed")
     return u
@@ -214,7 +214,7 @@ def make_coclosed_source(spec: OperatorSpec, q, rng, P) -> Form:
     if q + spec.ell > spec.n:
         raise ValueError("no coclosed range forms above degree n - ell")
     psi, _ = random_bump_form(rng, spec.n, spec.n, q + spec.ell, P)
-    u = _apply(spec, psi, top=True, adjoint=True)
+    u = _apply(spec, psi, adjoint=True)
     if u.is_zero():
         raise ValueError("probe collapsed to zero; retry with another seed")
     return u
@@ -292,14 +292,14 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
             raise ValueError(f"{name} must be a hybrid (q{step:+d})-form")
         scale = max(lp_norm(X, 2), 1e-30)
         key = f"{co}closedness_{name}"
-        info[key] = lp_norm(_apply(spec, X, top=False, adjoint=adjoint), 2) / scale
+        info[key] = lp_norm(_apply(spec, X, adjoint=adjoint), 2) / scale
         if info[key] > closed_tol:
             raise ValueError(f"{name} is not {co}closed to the requested tolerance")
         info[f"mean_{name}"] = max((abs(float(c.mean())) for c in X.coeffs.values()),
                                    default=0.0)
         if info[f"mean_{name}"] > closed_tol * scale:
             raise ValueError(f"{name} must be mean free")
-        piece = _apply(spec, X, top=False, adjoint=not adjoint)
+        piece = _apply(spec, X, adjoint=not adjoint)
         rhs = piece if rhs is None else rhs + piece
 
     # modes where sigma vanishes (the zero mode, and Nyquist modes that
@@ -318,7 +318,7 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
 
     for X, _, adjoint in data:
         info["residual_Tstar" if adjoint else "residual_T"] = lp_norm(
-            _apply(spec, Z, top=False, adjoint=adjoint) - X, 2)
+            _apply(spec, Z, adjoint=adjoint) - X, 2)
     return Z, info
 
 
@@ -410,7 +410,7 @@ def _probe_hodge(entry, rng) -> dict:
                     kind=entry.get("ordering", "lexicographic"))
     q, P = entry["q"], entry.get("P", 32)
     phi, _ = random_bump_form(rng, spec.n, spec.N, q, P, components=2)
-    F = _apply(spec, phi, top=False, adjoint=False)
+    F = _apply(spec, phi, adjoint=False)
     Z, info = hodge_solve(spec, q, F=F)
     return {"kind": "hodge", "q": q, "P": P,
             "residual_T": info["residual_T"],

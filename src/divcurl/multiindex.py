@@ -174,7 +174,9 @@ class Ordering:
         bwd = {lab: a for a, lab in pairs}
         expected_keys = {embed_multiindex(a, N) for a in source}
         if set(fwd) != expected_keys or len(fwd) != m:
-            raise ValueError("ordering table does not cover every multi-index exactly once")
+            raise ValueError(
+                "ordering table does not cover every multi-index exactly once; "
+                f"its keys are multi-indices embedded to length N = {N}")
         if set(bwd) != set(labels(N, ell)) or len(bwd) != m:
             raise ValueError("ordering table is not a bijection onto the labels")
         # store pairs in the canonical enumeration order of the multi-indices

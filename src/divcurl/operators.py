@@ -6,13 +6,15 @@ derivative multi-index alpha to the label block ordering(alpha):
 
     (T F)_L = sum_{I, alpha} epsilon^{ordering(alpha) I}_L d^k F_I / dx^alpha
 
-for L of degree q + ell over N slots.  The source-space operator Top is
-the same action with every label constrained to {1, ..., n}.
+for L of degree q + ell over N slots.  Every operator acts on the space
+its form lives on, labels {1, ..., F.N}: the hybrid space when F.N == N
+and the source space when F.N == n, where the same action has every
+label constrained to {1, ..., n} (the paper's source operator).
 
 Adjoints are available through two independent routes that must agree:
 
-* star conjugation: T* = (-1)^(k + q(N - ell - q)) star T star, with q the
-  output degree, and
+* star conjugation: T* = (-1)^(k + q(F.N - ell - q)) star T star, with q
+  the output degree, and
 * the coordinate sum (T* H)_V = (-1)^k sum epsilon^{ordering(beta) V}_I
   d^k H_I / dx^beta,
 
@@ -20,19 +22,21 @@ where the global coordinate sign (-1)^k is the one forced by k-fold
 integration by parts against the label-wise pairing.  On the exact
 backend apply_T_star computes both and raises if they ever differ.
 
-The Hodge Laplacian box = T T* + T* T acts on hybrid q-forms through an
+The Hodge Laplacian box = T T* + T* T acts on q-forms through an
 integer coefficient tensor; box_coeff_tensor builds it by direct
 summation over connecting labels and box_coeff_closed_form builds it
 entry by entry from the overlap decomposition of the two derivative
-blocks.  Both are exposed so they can be cross-checked exactly.
+blocks, each on the hybrid or (top=True) the source space.  Both are
+exposed so they can be cross-checked exactly.
 
 Every action runs through one table path: _apply picks the raising
 table _t_table or the coordinate-adjoint table _tstar_table over labels
-in {1..N} or {1..n}, holds the single degree guard, and hands the table
-to _apply_table, which evaluates (I, alpha, OUT, sign) entries on either
-backend.  apply_T, apply_Top, their coordinate adjoints, both
-Laplacians, CoeffTensor.contract and tt_single_orientation all end
-there.
+in {1..F.N}, holds the single degree guard, and hands the table to
+_apply_table, which evaluates (I, alpha, OUT, sign) entries on either
+backend.  apply_T, apply_T_star_coordinate, box_apply,
+CoeffTensor.contract and tt_single_orientation all end there.  The
+tables are keyed by the label width, so when N == n the two spaces
+share them.
 
 _t_table is the only enumeration of the raising coupling: the summation
 tensor, the real T o T (_tt_table) and the scalar dictionary (vs_reduction
@@ -88,19 +92,14 @@ __all__ = [
     "apply_T",
     "apply_T_star",
     "apply_T_star_coordinate",
-    "apply_Top",
-    "apply_Top_star",
-    "apply_Top_star_coordinate",
     "compose_TT",
     "tt_single_orientation",
     "box_apply",
-    "box_apply_top",
     "CoeffTensor",
     "box_coeff_tensor",
     "box_coeff_closed_form",
     "coeff_entry_direct",
     "coeff_entry_closed_form",
-    "top_coeff_tensor",
     "vs_reduction",
     "vs_lift",
     "divergence_defect",
@@ -159,11 +158,6 @@ def spec_for(n, k, ell, kind="lexicographic") -> OperatorSpec:
 # ---- coupling tables -------------------------------------------------------
 
 
-def _width(spec: OperatorSpec, top: bool) -> int:
-    """Label range of the hybrid (N) or source (n) space."""
-    return spec.n if top else spec.N
-
-
 def _mask(label) -> int:
     """A label as an int bitmask: the sum of 1 << x over its entries."""
     m = 0
@@ -189,20 +183,18 @@ def _label_index(width: int, q: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _t_table(spec: OperatorSpec, q: int, top: bool):
-    """Entries (I, alpha, L, sign) of the degree-raising action at degree q.
-
-    With top=True all labels are constrained to {1..n} (the source-space
-    operator); otherwise they run over {1..N}.  The signs come from the
-    reference perm_sign_between, not _sort_sign, so that the adjoint and
-    closed-form checks set the two against each other.
+def _t_table(spec: OperatorSpec, q: int, width: int):
+    """Entries (I, alpha, L, sign) of the degree-raising action at degree q
+    over labels in {1..width}: N for the hybrid space, n for the source
+    space.  The signs come from the reference perm_sign_between, not
+    _sort_sign, so that the adjoint and closed-form checks set the two
+    against each other.
     """
-    width = _width(spec, top)
     index = _label_index(width, q)
     if q + spec.ell > width:
         return ()
     out = _label_index(width, q + spec.ell)
-    pairs = _image_alphas(spec, top)
+    pairs = _image_alphas(spec, width)
     entries = []
     for mI, I in index.items():
         for alpha, a, ma in pairs:
@@ -213,13 +205,12 @@ def _t_table(spec: OperatorSpec, q: int, top: bool):
 
 
 @lru_cache(maxsize=None)
-def _tstar_table(spec: OperatorSpec, q: int, top: bool):
+def _tstar_table(spec: OperatorSpec, q: int, width: int):
     """Entries (I, beta, V, sign) of the coordinate adjoint at degree q:
     V of degree q - ell collects epsilon^{ordering(beta) V}_I terms."""
-    width = _width(spec, top)
     lower = _label_index(width, q - spec.ell)
     index = _label_index(width, q)
-    pairs = _image_alphas(spec, top)
+    pairs = _image_alphas(spec, width)
     return tuple((index[mV | mb], beta, V, _sort_sign(b, mV))
                  for mV, V in lower.items()
                  for beta, b, mb in pairs if not mV & mb)
@@ -269,131 +260,104 @@ def _apply_table_grid(F: Form, entries, out_q, width, overall) -> Form:
     return Form(n, width, out_q, coeffs, "grid", P)
 
 
-def _apply(spec: OperatorSpec, F: Form, top: bool, adjoint: bool) -> Form:
-    """T (or Top) on F, or with adjoint=True its coordinate adjoint.
+def _apply(spec: OperatorSpec, F: Form, adjoint: bool) -> Form:
+    """T on F over labels {1..F.N}, or with adjoint=True its coordinate
+    adjoint.
 
-    The one degree guard: an output degree outside 0..width gives the zero
+    The one degree guard: an output degree outside 0..F.N gives the zero
     form at the nearest existing degree.
     """
-    width = _width(spec, top)
+    width = F.N
     out_q = F.q - spec.ell if adjoint else F.q + spec.ell
     if not 0 <= out_q <= width:
         return zero_form(F.n, width, min(max(out_q, 0), width), F.backend, F.P)
     if adjoint:
-        return _apply_table(F, _tstar_table(spec, F.q, top), out_q, width,
+        return _apply_table(F, _tstar_table(spec, F.q, width), out_q, width,
                             overall=(-1) ** spec.k)
-    return _apply_table(F, _t_table(spec, F.q, top), out_q, width)
+    return _apply_table(F, _t_table(spec, F.q, width), out_q, width)
 
 
 # ---- the operators ---------------------------------------------------------
 
 
-def _check_space(spec: OperatorSpec, F: Form, top: bool):
-    if (F.n, F.N) != (spec.n, _width(spec, top)):
-        raise ValueError("source forms live over N == n" if top
-                         else "form does not live on the spec's hybrid space")
+def _check_space(spec: OperatorSpec, F: Form):
+    """F must live on the hybrid space (F.N == N) or the source space
+    (F.N == n) of the spec."""
+    if F.n != spec.n or F.N not in (spec.N, spec.n):
+        raise ValueError("form lives on neither the hybrid (N) nor the "
+                         "source (n) space of the spec")
+    if F.N == spec.n < spec.ell:
+        raise ValueError("source operator is trivial for n < ell")
 
 
 def apply_T(spec: OperatorSpec, F: Form) -> Form:
-    """Degree-raising operator on hybrid q-forms; degree q + ell <= N."""
-    _check_space(spec, F, top=False)
-    if F.q + spec.ell > spec.N:
+    """Degree-raising operator on q-forms over {1..F.N}, the hybrid or the
+    source space; degree q + ell <= F.N."""
+    _check_space(spec, F)
+    if F.q + spec.ell > F.N:
         raise ValueError("output degree would exceed N")
-    return _apply(spec, F, top=False, adjoint=False)
+    return _apply(spec, F, adjoint=False)
 
 
 def apply_T_star_coordinate(spec: OperatorSpec, H: Form) -> Form:
     """Coordinate route for the adjoint: global sign (-1)^k."""
-    _check_space(spec, H, top=False)
+    _check_space(spec, H)
     if H.q < spec.ell:
         raise ValueError("adjoint needs degree q >= ell")
-    return _apply(spec, H, top=False, adjoint=True)
+    return _apply(spec, H, adjoint=True)
 
 
-def _star_conjugate(spec, H, top: bool) -> Form:
+def _star_conjugate(spec, H) -> Form:
     q_out = H.q - spec.ell
-    sign = (-1) ** (spec.k + q_out * (_width(spec, top) - spec.ell - q_out))
-    mid = _apply(spec, hodge_star(H), top=top, adjoint=False)
+    sign = (-1) ** (spec.k + q_out * (H.N - spec.ell - q_out))
+    mid = _apply(spec, hodge_star(H), adjoint=False)
     return hodge_star(mid).scale(sign)
 
 
-def _checked_adjoint(spec: OperatorSpec, H: Form, top: bool) -> Form:
-    """Star-conjugate adjoint with the coordinate-route cross-check of
-    apply_T_star, on the hybrid or (top=True) the source space."""
-    _check_space(spec, H, top)
-    if H.q < spec.ell:
-        raise ValueError("adjoint needs degree q >= ell")
-    out = _star_conjugate(spec, H, top)
-    if (H.backend == "trig"
-            and not (out - _apply(spec, H, top=top, adjoint=True)).is_zero()):
-        raise ArithmeticError(
-            "adjoint routes disagree; an epsilon or sign table is corrupt"
-        )
-    return out
-
-
 def apply_T_star(spec: OperatorSpec, H: Form) -> Form:
-    """Adjoint of apply_T via star conjugation.
+    """Adjoint of apply_T via star conjugation, on H's space.
 
     On the exact backend the coordinate route is evaluated as well and any
     disagreement raises; the two routes are algebraically identical, so a
     mismatch means a sign fault somewhere.  Grid forms are not
     cross-checked: their rounding would make an exact comparison fail.
     """
-    return _checked_adjoint(spec, H, False)
-
-
-def apply_Top(spec: OperatorSpec, f: Form) -> Form:
-    """Source-space operator: the same action with labels inside {1..n}.
-
-    Returns the zero form when the output degree exceeds n.  Nontrivial
-    only when n >= ell.
-    """
-    _check_space(spec, f, top=True)
-    if spec.n < spec.ell:
-        raise ValueError("source operator is trivial for n < ell")
-    return _apply(spec, f, top=True, adjoint=False)
-
-
-def apply_Top_star_coordinate(spec: OperatorSpec, h: Form) -> Form:
-    _check_space(spec, h, top=True)
-    if spec.n < spec.ell:
-        raise ValueError("source operator is trivial for n < ell")
-    if h.q < spec.ell:
+    _check_space(spec, H)
+    if H.q < spec.ell:
         raise ValueError("adjoint needs degree q >= ell")
-    return _apply(spec, h, top=True, adjoint=True)
-
-
-def apply_Top_star(spec: OperatorSpec, h: Form) -> Form:
-    """Adjoint of apply_Top, cross-checked like apply_T_star: on the exact
-    backend only."""
-    return _checked_adjoint(spec, h, True)
+    out = _star_conjugate(spec, H)
+    if (H.backend == "trig"
+            and not (out - _apply(spec, H, adjoint=True)).is_zero()):
+        raise ArithmeticError(
+            "adjoint routes disagree; an epsilon or sign table is corrupt"
+        )
+    return out
 
 
 # ---- composition laws ------------------------------------------------------
 
 
 def compose_TT(spec: OperatorSpec, F: Form) -> Form:
-    """T applied twice; requires q + 2 ell <= N.
+    """T applied twice; requires q + 2 ell <= F.N.
 
     Identically zero exactly when ell is odd; for even ell the result
     equals twice the single-orientation sum (see tt_single_orientation).
     """
-    _check_space(spec, F, top=False)
-    if F.q + 2 * spec.ell > spec.N:
+    _check_space(spec, F)
+    if F.q + 2 * spec.ell > F.N:
         raise ValueError("no room for two degree raises at this q")
     return apply_T(spec, apply_T(spec, F))
 
 
-def _tt_table(spec: OperatorSpec, q: int):
+def _tt_table(spec: OperatorSpec, q: int, width: int):
     """Entries (I, alpha, beta, M, sign) of the real T o T at degree q: the
     raising tables of degrees q and q + ell composed through their shared
     label, so sign = epsilon^{b a I}_M.  Both orientations appear."""
     up = {}
-    for entry in _t_table(spec, q + spec.ell, False):
+    for entry in _t_table(spec, q + spec.ell, width):
         up.setdefault(entry[0], []).append(entry)
     return tuple((I, alpha, beta, M, s1 * s2)
-                 for I, alpha, L, s1 in _t_table(spec, q, False)
+                 for I, alpha, L, s1 in _t_table(spec, q, width)
                  for _, beta, M, s2 in up.get(L, ()))
 
 
@@ -403,41 +367,30 @@ def tt_single_orientation(spec: OperatorSpec, F: Form) -> Form:
         sum_{alpha < beta} epsilon^{ordering(beta) ordering(alpha) I}_M
                            d^{2k} F_I / dx^{alpha + beta}  on each M,
     alpha before beta in multiindices order."""
-    _check_space(spec, F, top=False)
-    if F.q + 2 * spec.ell > spec.N:
+    _check_space(spec, F)
+    if F.q + 2 * spec.ell > F.N:
         raise ValueError("no room for two degree raises at this q")
     rank = {alpha: i for i, alpha in enumerate(multiindices(spec.n, spec.k))}
     half = [(I, tuple(x + y for x, y in zip(alpha, beta)), M, sign)
-            for I, alpha, beta, M, sign in _tt_table(spec, F.q)
+            for I, alpha, beta, M, sign in _tt_table(spec, F.q, F.N)
             if rank[alpha] < rank[beta]]
-    return _apply_table(F, half, F.q + 2 * spec.ell, spec.N)
-
-
-def _box(spec: OperatorSpec, H: Form, top: bool) -> Form:
-    """T T* + T* T, summed over the parts whose intermediate degree exists."""
-    _check_space(spec, H, top)
-    width = _width(spec, top)
-    parts = []
-    if H.q >= spec.ell:
-        down = _apply(spec, H, top=top, adjoint=True)
-        parts.append(_apply(spec, down, top=top, adjoint=False))
-    if H.q + spec.ell <= width:
-        up = _apply(spec, H, top=top, adjoint=False)
-        parts.append(_apply(spec, up, top=top, adjoint=True))
-    if not parts:
-        return zero_form(H.n, width, H.q, H.backend, H.P)
-    return sum(parts[1:], parts[0])
+    return _apply_table(F, half, F.q + 2 * spec.ell, F.N)
 
 
 def box_apply(spec: OperatorSpec, H: Form) -> Form:
-    """Hodge Laplacian T T* + T* T; a part whose intermediate degree does
-    not exist contributes zero."""
-    return _box(spec, H, top=False)
-
-
-def box_apply_top(spec: OperatorSpec, h: Form) -> Form:
-    """Source-space Hodge Laplacian Top Top* + Top* Top."""
-    return _box(spec, h, top=True)
+    """Hodge Laplacian T T* + T* T on H's space; a part whose intermediate
+    degree does not exist contributes zero."""
+    _check_space(spec, H)
+    parts = []
+    if H.q >= spec.ell:
+        down = _apply(spec, H, adjoint=True)
+        parts.append(_apply(spec, down, adjoint=False))
+    if H.q + spec.ell <= H.N:
+        up = _apply(spec, H, adjoint=False)
+        parts.append(_apply(spec, up, adjoint=True))
+    if not parts:
+        return zero_form(H.n, H.N, H.q, H.backend, H.P)
+    return sum(parts[1:], parts[0])
 
 
 # ---- the Laplacian coefficient tensor ---------------------------------------
@@ -465,7 +418,7 @@ class CoeffTensor:
 
     def contract(self, H: Form) -> Form:
         """Apply the Laplacian through the tensor; must equal box_apply."""
-        width = _width(self.spec, self.top)
+        width = self.spec.n if self.top else self.spec.N
         if (H.n, H.N, H.q) != (self.spec.n, width, self.q):
             raise ValueError("form shape does not match the tensor")
         table = [(I, tuple(x + y for x, y in zip(alpha, beta)), M, val)
@@ -474,25 +427,24 @@ class CoeffTensor:
 
     def is_kronecker(self) -> bool:
         """True when C^{MI}_{alpha beta} = delta_MI delta_alpha,beta."""
-        width = _width(self.spec, self.top)
+        width = self.spec.n if self.top else self.spec.N
         labs = set(labels(width, self.q))
-        alphas = {a for a, _, _ in _image_alphas(self.spec, self.top)}
+        alphas = {a for a, _, _ in _image_alphas(self.spec, width)}
         return (len(self.entries) == len(labs) * len(alphas)
                 and all(v == 1 and M == I and a == b and I in labs
                         and a in alphas
                         for (M, I, a, b), v in self.entries.items()))
 
 
-def _image_alphas(spec: OperatorSpec, top: bool):
-    """(alpha, label, label mask) triples of the ordering, restricted to
-    {1..n} labels in the source-space case."""
+def _image_alphas(spec: OperatorSpec, width: int):
+    """(alpha, label, label mask) triples of the ordering whose label lies
+    inside {1..width}."""
     pairs = [(alpha, spec.ordering.label_of(alpha))
              for alpha in multiindices(spec.n, spec.k)]
-    return [(alpha, a, _mask(a)) for alpha, a in pairs
-            if not top or max(a) <= spec.n]
+    return [(alpha, a, _mask(a)) for alpha, a in pairs if max(a) <= width]
 
 
-def _tensor_by_summation(spec: OperatorSpec, q: int, top: bool) -> dict:
+def _tensor_by_summation(spec: OperatorSpec, q: int, width: int) -> dict:
     """Sum over connecting labels, read off the raising table: T* T pairs
     the degree-q entries that share an output label L, T T* the degree
     q - ell entries that share an input label K.
@@ -504,7 +456,7 @@ def _tensor_by_summation(spec: OperatorSpec, q: int, top: bool) -> dict:
     in (M, I, alpha, beta).  Only the nonzero sums become tuple keys, in
     the order their keys were first met.
     """
-    labs = labels(_width(spec, top), q)
+    labs = labels(width, q)
     alphas = multiindices(spec.n, spec.k)
     m = len(alphas)
     S = m * len(labs)
@@ -513,7 +465,7 @@ def _tensor_by_summation(spec: OperatorSpec, q: int, top: bool) -> dict:
 
     def up():  # T* T: the entry (I, alpha) meets the entry (M, beta) at L
         groups = {}
-        for I, alpha, L, s in _t_table(spec, q, top):
+        for I, alpha, L, s in _t_table(spec, q, width):
             u = row[I] + col[alpha]
             groups.setdefault(L, []).append((u, u * S, s))
         return groups
@@ -521,7 +473,7 @@ def _tensor_by_summation(spec: OperatorSpec, q: int, top: bool) -> dict:
     def down():  # T T*: the entry (M, alpha) meets the entry (I, beta) at K
         groups = {}
         if q >= spec.ell:
-            for K, alpha, M, s in _t_table(spec, q - spec.ell, top):
+            for K, alpha, M, s in _t_table(spec, q - spec.ell, width):
                 groups.setdefault(K, []).append(
                     (row[M] * S + col[alpha], col[alpha] * S + row[M], s))
         return groups
@@ -546,26 +498,24 @@ def _tensor_by_summation(spec: OperatorSpec, q: int, top: bool) -> dict:
 
 
 @lru_cache(maxsize=None)
-def box_coeff_tensor(spec: OperatorSpec, q: int) -> CoeffTensor:
-    """Tensor by direct summation over connecting labels L and K."""
-    if not (0 <= q <= spec.N):
-        raise ValueError("degree out of range")
-    return CoeffTensor(spec, q, False, _tensor_by_summation(spec, q, False))
+def box_coeff_tensor(spec: OperatorSpec, q: int, top: bool = False) -> CoeffTensor:
+    """Tensor by direct summation over connecting labels L and K, on the
+    hybrid space or (top=True) the source space, labels in {1..n} only.
 
-
-@lru_cache(maxsize=None)
-def top_coeff_tensor(spec: OperatorSpec, q: int) -> CoeffTensor:
-    """Source-space Laplacian tensor: labels in {1..n} only."""
-    if spec.n < spec.ell:
+    The cache keys on the call as written, so every caller in the package
+    passes top positionally: box_coeff_tensor(spec, q, top).
+    """
+    if top and spec.n < spec.ell:
         raise ValueError("source operator is trivial for n < ell")
-    if not (0 <= q <= spec.n):
+    width = spec.n if top else spec.N
+    if not (0 <= q <= width):
         raise ValueError("degree out of range")
-    return CoeffTensor(spec, q, True, _tensor_by_summation(spec, q, True))
+    return CoeffTensor(spec, q, top, _tensor_by_summation(spec, q, width))
 
 
 def coeff_entry_direct(spec, q, M, I, alpha, beta, top=False) -> int:
     """One tensor entry by the literal sums over all L and K."""
-    width = _width(spec, top)
+    width = spec.n if top else spec.N
     a = spec.ordering.label_of(alpha)
     b = spec.ordering.label_of(beta)
     total = 0
@@ -625,7 +575,7 @@ def coeff_entry_closed_form(spec, M, I, alpha, beta, top=False) -> int:
     coeff_entry_direct, M and I may be any arrangements of labels, each
     giving its sign, and a repeated entry or one outside {1..width}
     gives zero."""
-    width = _width(spec, top)
+    width = spec.n if top else spec.N
     a = spec.ordering.label_of(alpha)
     b = spec.ordering.label_of(beta)
     I = tuple(I)
@@ -646,8 +596,9 @@ def coeff_entry_closed_form(spec, M, I, alpha, beta, top=False) -> int:
 def box_coeff_closed_form(spec: OperatorSpec, q: int, top: bool = False) -> CoeffTensor:
     """Full tensor from the overlap decomposition: each (I, alpha, beta)
     has at most one M with a nonzero entry."""
-    pairs = _image_alphas(spec, top)
-    index = _label_index(_width(spec, top), q)
+    width = spec.n if top else spec.N
+    pairs = _image_alphas(spec, width)
+    index = _label_index(width, q)
     entries = {}
     for mI, I in index.items():
         for alpha, a, ma in pairs:
@@ -674,7 +625,7 @@ def vs_reduction(spec: OperatorSpec, F: Form) -> dict:
     if F.q != spec.N - spec.ell:
         raise ValueError("reduction needs degree N - ell")
     out = {}
-    for I, alpha, _, sign in _t_table(spec, spec.N - spec.ell, False):
+    for I, alpha, _, sign in _t_table(spec, spec.N - spec.ell, spec.N):
         if I in F.coeffs and not F.coeffs[I].is_zero():
             out[alpha] = F.coeffs[I].scale(sign)
     return out
@@ -690,7 +641,7 @@ def vs_lift(spec: OperatorSpec, g: dict) -> Form:
     """
     q = spec.N - spec.ell
     complements = {alpha: (I, sign)
-                   for I, alpha, _, sign in _t_table(spec, q, False)}
+                   for I, alpha, _, sign in _t_table(spec, q, spec.N)}
     coeffs = {}
     for alpha, fn in g.items():
         if alpha not in complements:
@@ -714,9 +665,10 @@ def divergence_defect(g: dict):
 
 
 def invariance_defect(spec: OperatorSpec, A, F: Form) -> float:
-    """Norm of Top(pullback F) - pullback(Top F) for the map x -> A(x-c)+c.
+    """Norm of T(pullback F) - pullback(T F) for the map x -> A(x-c)+c.
 
-    A must be orthogonal.  F is a source form (N == n).  On the exact
+    A must be orthogonal.  F is a source form (N == n), as the pullback
+    requires.  On the exact
     backend A must be a signed permutation and the defect is reported as
     an exact coefficient bound; on the grid backend the pullback uses
     band-limited interpolation, so probes should be well localized away
@@ -728,11 +680,10 @@ def invariance_defect(spec: OperatorSpec, A, F: Form) -> float:
     A = np.asarray(A, dtype=float)
     if not np.allclose(A @ A.T, np.eye(spec.n), atol=1e-12):
         raise ValueError("expected an orthogonal matrix")
-    _check_space(spec, F, top=True)
+    _check_space(spec, F)
     center = np.full(spec.n, np.pi) if F.backend == "grid" else None
-    TF = _apply(spec, F, top=True, adjoint=False)
-    left = _apply(spec, pullback_linear(F, A, center), top=True, adjoint=False)
-    right = pullback_linear(TF, A, center)
+    left = _apply(spec, pullback_linear(F, A, center), adjoint=False)
+    right = pullback_linear(_apply(spec, F, adjoint=False), A, center)
     diff = left - right
     if diff.backend == "trig":
         from .forms import form_max_abs

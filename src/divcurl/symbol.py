@@ -37,7 +37,7 @@ import numpy as np
 
 from .forms import Form
 from .multiindex import labels, multiindices
-from .operators import OperatorSpec, box_apply, box_coeff_tensor, top_coeff_tensor
+from .operators import OperatorSpec, box_apply, box_coeff_tensor
 from .trigpoly import TrigPoly
 
 __all__ = [
@@ -70,7 +70,7 @@ def _xi_pow(xi, gamma):
 def _symbol_table(spec: OperatorSpec, q: int, source: bool):
     """(labels, gammas, slots): slots holds (i, j, ((g, c), ...)) with
     gammas[g] the exponent and c the integer tensor sum on it."""
-    tensor = top_coeff_tensor(spec, q) if source else box_coeff_tensor(spec, q)
+    tensor = box_coeff_tensor(spec, q, source)
     labs = labels(spec.n if source else spec.N, q)
     idx = {L: i for i, L in enumerate(labs)}
     gamma_idx = {}
@@ -231,8 +231,6 @@ def wave_symbol_check(spec, q, xi_int, zeta=None, source=False) -> bool:
     xi_int must be integer so the wave lives on the exact backend; zeta
     defaults to all ones.  Returns True or raises with the discrepancy.
     """
-    from .operators import box_apply_top
-
     xi_int = tuple(int(x) for x in xi_int)
     width = spec.n if source else spec.N
     labs, S = box_symbol(spec, q, xi_int, source=source)
@@ -242,7 +240,7 @@ def wave_symbol_check(spec, q, xi_int, zeta=None, source=False) -> bool:
     wave = TrigPoly.wave(spec.n, xi_int, 0, Fraction(1))
     coeffs = {L: wave.scale(z) for L, z in zip(labs, zeta) if z != 0}
     H = Form(spec.n, width, q, coeffs, backend="trig")
-    out = box_apply_top(spec, H) if source else box_apply(spec, H)
+    out = box_apply(spec, H)
     expected = {}
     for i, L in enumerate(labs):
         val = sum(S[i][j] * zeta[j] for j in range(len(labs)))

@@ -27,8 +27,6 @@ from .operators import (
     OperatorSpec,
     apply_T,
     apply_T_star,
-    apply_Top,
-    apply_Top_star,
     box_apply,
     box_coeff_closed_form,
     box_coeff_tensor,
@@ -36,7 +34,6 @@ from .operators import (
     compose_TT,
     divergence_defect,
     spec_for,
-    top_coeff_tensor,
     tt_single_orientation,
     vs_lift,
     vs_reduction,
@@ -102,7 +99,7 @@ def _tt_nonzero(spec: OperatorSpec, q: int) -> bool:
     """The real T o T at degree q has a summed (I, alpha + beta, M)
     coefficient that does not cancel."""
     total = {}
-    for I, alpha, beta, M, sign in operators._tt_table(spec, q):
+    for I, alpha, beta, M, sign in operators._tt_table(spec, q, spec.N):
         key = (I, tuple(x + y for x, y in zip(alpha, beta)), M)
         total[key] = total.get(key, 0) + sign
     return any(total.values())
@@ -170,11 +167,11 @@ def identity_suite(spec: OperatorSpec, rng: random.Random, deep=False):
         H = random_trig_form(rng, spec.n, spec.N, q, components=3)
         box_probes.append(H)
         B = box_apply(spec, H)
-        t = box_coeff_tensor(spec, q)
+        t = box_coeff_tensor(spec, q, False)
         ok = (B - t.contract(H)).is_zero()
         rec(f"box_vs_tensor[q={q}]", ok,
             "" if ok else _first_difference(B, t.contract(H)))
-        diff = _first_entry_difference(t, box_coeff_closed_form(spec, q))
+        diff = _first_entry_difference(t, box_coeff_closed_form(spec, q, False))
         rec(f"tensor_closed_form[q={q}]", not diff, diff)
         asym = sorted(key for key, v in t.entries.items()
                       if t.value(key[1], key[0], key[3], key[2]) != v)
@@ -207,19 +204,19 @@ def identity_suite(spec: OperatorSpec, rng: random.Random, deep=False):
         qs = [q for q in (0, 1) if q + spec.ell <= spec.n]
         for q in qs:
             f = random_trig_form(rng, spec.n, spec.n, q, components=2)
-            Tf = apply_Top(spec, f)
+            Tf = apply_T(spec, f)
             h = Tf + random_trig_form(rng, spec.n, spec.n, q + spec.ell,
                                       components=2)
             lhs = inner_product(Tf, h)
             try:
-                rhs = inner_product(f, apply_Top_star(spec, h))
+                rhs = inner_product(f, apply_T_star(spec, h))
                 rec(f"source_adjointness[q={q}]", lhs == rhs,
                     "" if lhs == rhs else f"{lhs} != {rhs}")
             except ArithmeticError as e:
                 rec(f"source_adjointness[q={q}]", False, str(e))
         q = min(spec.ell, spec.n)
-        diff = _first_entry_difference(
-            top_coeff_tensor(spec, q), box_coeff_closed_form(spec, q, top=True))
+        diff = _first_entry_difference(box_coeff_tensor(spec, q, True),
+                                       box_coeff_closed_form(spec, q, True))
         rec("source_tensor_closed_form", not diff, diff)
 
     # reduction / lift dictionary at degree N - ell

@@ -11,7 +11,7 @@ import pytest
 
 import divcurl
 import divcurl.operators as ops
-from divcurl import cli
+from divcurl import cli, symbol
 from divcurl.cli import build_parser, main
 
 
@@ -118,6 +118,13 @@ GOLDEN_SHA256 = {
         "ca40693bf57ccc1f785ee62246eb48485d1918e011806f5bf955029deed84471",
     ("symbol", "3", "2", "1", "--q", "1", "--xi=-1/2,0,2/3"):
         "1e5f9a3749e3a5dbfc9d9c6f0de8dbd6c928873e1c4e9ff0ea987272f61fd8d1",
+    # recorded while the source space had its own operator and tensor
+    # functions: a source tensor with entries and a source scan with labels
+    ("laplacian", "3", "2", "2", "--q", "1", "--source"):
+        "4b45f7379650a19c4841e9cd39266fc54bf0aeb272310cc685a1ebabfb872d36",
+    ("symbol", "2", "3", "1", "--ordering", "chained", "--source",
+     "--samples", "10", "--seed", "1"):
+        "7de948205bc46ba6d4be3910747c91778c16792a84a533f00d8522bb0d9355bb",
 }
 
 
@@ -144,6 +151,7 @@ def test_golden_laplacian_spans_several_row_blocks(capsys, monkeypatch):
     ("laplacian", "2", "3", "3", "--q", "2"),               # no entries
     ("laplacian", "2", "2", "2", "--q", "1", "--source"),   # no entries
     ("laplacian", "3", "2", "2", "--q", "0", "--source"),   # empty labels
+    ("laplacian", "3", "2", "2", "--q", "1", "--source"),
     ("laplacian", "3", "2", "2", "--q", "1"),
     ("laplacian", "2", "2", "1", "--q", "1", "--ordering", "chained"),
 ], ids="-".join)
@@ -154,8 +162,7 @@ def test_laplacian_rows_match_stdlib_json(capsys, monkeypatch, tmp_path,
     stdout prints."""
     args = build_parser().parse_args(argv)
     spec = ops.spec_for(args.n, args.k, args.ell, args.ordering)
-    tensor = (ops.top_coeff_tensor(spec, args.q) if args.source
-              else ops.box_coeff_tensor(spec, args.q))
+    tensor = ops.box_coeff_tensor(spec, args.q, args.source)
     obj = {
         "spec": spec.describe(),
         "q": args.q,
@@ -176,6 +183,18 @@ def test_laplacian_rows_match_stdlib_json(capsys, monkeypatch, tmp_path,
     assert target.read_bytes() == out.encode()
 
 
+def test_source_laplacian_and_symbol_share_one_tensor(capsys):
+    """laplacian --source and symbol --source at the same spec and degree
+    read one cached source tensor: every call passes the same arguments."""
+    ops.box_coeff_tensor.cache_clear()
+    symbol._symbol_table.cache_clear()
+    for argv in (("laplacian", "3", "2", "2", "--q", "1", "--source"),
+                 ("symbol", "3", "2", "2", "--q", "1", "--source",
+                  "--samples", "2")):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert ops.box_coeff_tensor.cache_info().currsize == 1
+
+
 def test_verify_scope_filters_records(capsys):
     code, out = run_cli(capsys, "verify", "--cases", "2,2,1,diagonal",
                         "--scope", "symbol")
@@ -189,8 +208,8 @@ def test_verify_scope_filters_records(capsys):
 def test_verify_exit_code_on_corruption(capsys, monkeypatch):
     real = ops._tstar_table.__wrapped__
 
-    def corrupted(s, q, top):
-        return tuple((I, b, V, -sg) for I, b, V, sg in real(s, q, top))
+    def corrupted(s, q, width):
+        return tuple((I, b, V, -sg) for I, b, V, sg in real(s, q, width))
 
     monkeypatch.setattr(ops, "_tstar_table", corrupted)
     code, out = run_cli(capsys, "verify", "--cases", "2,1,1,lexicographic",

@@ -26,7 +26,6 @@ from divcurl.multiindex import complement, multiindices, random_ordering
 from divcurl.operators import (
     OperatorSpec,
     apply_T,
-    apply_Top,
     divergence_defect,
     spec_for,
     vs_lift,
@@ -105,7 +104,7 @@ def test_gn_side_conditions_accepted_for_constructed_data():
     coclosed = make_coclosed_source(spec, 1, rng, 64)
     assert gn_ratio(spec, coclosed, assume="coclosed") > 0
     # closedness defect of the constructed data is at spectral accuracy
-    Tc = apply_Top(spec, closed)
+    Tc = apply_T(spec, closed)
     assert lp_norm(Tc, 2) < 1e-12 * max(lp_norm(closed, 2), 1e-30)
 
 

@@ -197,6 +197,12 @@ def test_ordering_validation_rejects_bad_tables():
            (mis[2] + (0,), labs[1])]
     with pytest.raises(ValueError, match="not a bijection onto the labels"):
         Ordering(2, 2, 1, 3, bad)
+    # a table of length-n multi-indices: keys must be embedded to length N
+    short = [(a, lab) for a, lab in zip(mis, labs)]
+    with pytest.raises(ValueError, match="embedded to length N = 3"):
+        Ordering(2, 2, 1, 3, short)
+    padded = Ordering(2, 2, 1, 3, [(a + (0,), lab) for a, lab in short])
+    assert padded.label_of(mis[0]) == labs[0]
     with pytest.raises(ValueError):
         make_ordering(2, 2, 1, 4, kind="lexicographic")  # C(4,1) != 3
     with pytest.raises(ValueError):

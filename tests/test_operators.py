@@ -30,11 +30,7 @@ from divcurl.operators import (
     apply_T,
     apply_T_star,
     apply_T_star_coordinate,
-    apply_Top,
-    apply_Top_star,
-    apply_Top_star_coordinate,
     box_apply,
-    box_apply_top,
     box_coeff_closed_form,
     box_coeff_tensor,
     coeff_entry_closed_form,
@@ -42,7 +38,6 @@ from divcurl.operators import (
     compose_TT,
     invariance_defect,
     spec_for,
-    top_coeff_tensor,
     tt_single_orientation,
 )
 from divcurl.randoms import random_trig_form
@@ -148,10 +143,10 @@ def test_source_adjointness():
             continue
         for q in range(spec.n - spec.ell + 1):
             f = random_trig_form(rng, spec.n, spec.n, q, components=2)
-            g = apply_Top(spec, f) + random_trig_form(
+            g = apply_T(spec, f) + random_trig_form(
                 rng, spec.n, spec.n, q + spec.ell, components=2)
-            assert inner_product(apply_Top(spec, f), g) == \
-                inner_product(f, apply_Top_star(spec, g))
+            assert inner_product(apply_T(spec, f), g) == \
+                inner_product(f, apply_T_star(spec, g))
 
 
 def test_source_adjoint_routes_agree_on_both_backends():
@@ -161,25 +156,33 @@ def test_source_adjoint_routes_agree_on_both_backends():
             continue
         for q in range(spec.ell, spec.n + 1):
             h = random_trig_form(rng, spec.n, spec.n, q, components=2)
-            coordinate = apply_Top_star_coordinate(spec, h)
-            assert (coordinate - apply_Top_star(spec, h)).is_zero()
+            coordinate = apply_T_star_coordinate(spec, h)
+            assert (coordinate - apply_T_star(spec, h)).is_zero()
             hg = sample_form(h, 16)
-            diff = apply_Top_star_coordinate(spec, hg) - apply_Top_star(spec, hg)
+            diff = apply_T_star_coordinate(spec, hg) - apply_T_star(spec, hg)
             scale = max(form_max_abs(sample_form(coordinate, 16)), 1.0)
             assert form_max_abs(diff) < 1e-10 * scale
 
 
 def test_source_coordinate_adjoint_guards():
-    spec = spec_for(3, 2, 2)
+    """Each operator accepts forms over the hybrid (N) or the source (n)
+    labels only, and none over the source labels when n < ell."""
+    spec = spec_for(3, 2, 2)  # N = 4
     h = Form(3, 3, 2, {(1, 2): wave(3, (1, 0, 1))}, backend="trig")
-    with pytest.raises(ValueError, match="source forms live over N == n"):
-        apply_Top_star_coordinate(spec, Form(3, 4, 2, {}, backend="trig"))
+    neither = Form(3, 5, 2, {}, backend="trig")
+    for op in (apply_T, apply_T_star, apply_T_star_coordinate, box_apply,
+               compose_TT, tt_single_orientation):
+        with pytest.raises(ValueError, match="neither the hybrid"):
+            op(spec, neither)
     with pytest.raises(ValueError, match="adjoint needs degree q >= ell"):
-        apply_Top_star_coordinate(spec, Form(3, 3, 1, {}, backend="trig"))
+        apply_T_star_coordinate(spec, Form(3, 3, 1, {}, backend="trig"))
     thin = spec_for(2, 3, 3)  # n = 2 < ell = 3
+    for op in (apply_T, apply_T_star_coordinate, box_apply):
+        with pytest.raises(ValueError, match="source operator is trivial"):
+            op(thin, Form(2, 2, 0, {}, backend="trig"))
     with pytest.raises(ValueError, match="source operator is trivial"):
-        apply_Top_star_coordinate(thin, Form(2, 2, 2, {}, backend="trig"))
-    assert not apply_Top_star_coordinate(spec, h).is_zero()
+        box_coeff_tensor(thin, 0, True)
+    assert not apply_T_star_coordinate(spec, h).is_zero()
 
 
 def test_composition_vanishes_iff_step_is_odd():
@@ -226,11 +229,10 @@ def test_raising_table_is_empty_past_the_top_degree():
     """No degree-q label leaves room for an ell-block once q + ell exceeds
     the width, so the raising table there is empty, on both spaces."""
     for spec in ADJOINT_SPECS:
-        for top in [False] + [True] * (spec.n >= spec.ell):
-            width = spec.n if top else spec.N
+        for width in [spec.N] + [spec.n] * (spec.n >= spec.ell):
             for q in range(max(width - spec.ell + 1, 0), width + 1):
-                assert ops._t_table(spec, q, top) == ()
-            assert ops._t_table(spec, width - spec.ell, top) != ()
+                assert ops._t_table(spec, q, width) == ()
+            assert ops._t_table(spec, width - spec.ell, width) != ()
 
 
 def test_tensor_triple_agreement():
@@ -241,7 +243,7 @@ def test_tensor_triple_agreement():
     cases += [(spec, q, True) for spec in ADJOINT_SPECS if spec.n >= spec.ell
               for q in range(spec.n + 1)]
     for spec, q, top in cases:
-        A = top_coeff_tensor(spec, q) if top else box_coeff_tensor(spec, q)
+        A = box_coeff_tensor(spec, q, top)
         B = box_coeff_closed_form(spec, q, top=top)
         assert A.entries == B.entries
         keys = list(A.entries)
@@ -339,7 +341,7 @@ def test_tensor_contract_matches_operator_route():
     # source-space version
     spec = spec_for(2, 2, 1, "diagonal")
     h = random_trig_form(rng, 2, 2, 1, components=2)
-    assert (box_apply_top(spec, h) - top_coeff_tensor(spec, 1).contract(h)).is_zero()
+    assert (box_apply(spec, h) - box_coeff_tensor(spec, 1, True).contract(h)).is_zero()
 
 
 @pytest.mark.parametrize("spec,q", [
@@ -347,9 +349,9 @@ def test_tensor_contract_matches_operator_route():
     for spec in (spec_for(2, 2, 2), spec_for(3, 2, 1, "diagonal"))
     for q in range(spec.N + 1)])
 def test_grid_laplacians_match_exact_at_every_degree(spec, q):
-    """Grid box_apply and tensor contraction (and box_apply_top at q = 0)
-    agree with the exact backend, also at degrees where only one of
-    T T* and T* T exists (every degree for ell = 2 here)."""
+    """Grid box_apply and tensor contraction (and box_apply on a source
+    form at q = 0) agree with the exact backend, also at degrees where
+    only one of T T* and T* T exists (every degree for ell = 2 here)."""
     rng = random.Random(41 + q)
     P = 16
     H = random_trig_form(rng, spec.n, spec.N, q, components=2)
@@ -360,20 +362,24 @@ def test_grid_laplacians_match_exact_at_every_degree(spec, q):
         assert form_max_abs(got - exact) < 1e-9
     if q == 0:
         h = random_trig_form(rng, spec.n, spec.n, 0)
-        exact_top = sample_form(box_apply_top(spec, h), P)
+        exact_top = sample_form(box_apply(spec, h), P)
         assert form_max_abs(exact_top) > 0
-        got = box_apply_top(spec, sample_form(h, P))
+        got = box_apply(spec, sample_form(h, P))
         assert form_max_abs(got - exact_top) < 1e-9
 
 
 def test_degree_guards_raise():
+    """Past the top degree T raises, and below degree ell T* raises, on
+    the hybrid (N = 3) and the source (n = 2) space alike."""
     spec = spec_for(2, 2, 2)
-    top = Form(2, 3, 3, {(1, 2, 3): wave(2, (1, 0), 0, 1)}, backend="trig")
-    with pytest.raises(ValueError):
-        apply_T(spec, top)
-    bottom = Form(2, 3, 0, {(): wave(2, (1, 0), 0, 1)}, backend="trig")
-    with pytest.raises(ValueError):
-        apply_T_star(spec, bottom)
+    for width in (spec.N, spec.n):
+        top = Form(2, width, width, {tuple(range(1, width + 1)):
+                                     wave(2, (1, 0), 0, 1)}, backend="trig")
+        with pytest.raises(ValueError, match="output degree would exceed"):
+            apply_T(spec, top)
+        bottom = Form(2, width, 0, {(): wave(2, (1, 0), 0, 1)}, backend="trig")
+        with pytest.raises(ValueError, match="adjoint needs degree"):
+            apply_T_star(spec, bottom)
 
 
 def test_operators_on_empty_grid_forms_keep_the_resolution():
@@ -453,18 +459,16 @@ def test_invariance_breaks_for_higher_order():
 @pytest.mark.parametrize("top", [False, True], ids=["hybrid", "source"])
 def test_adjoint_cross_check_fires_on_corruption(monkeypatch, top):
     """Corrupt the coordinate-route sign table and the dual-route self-check
-    inside apply_T_star (apply_Top_star on the source space) must detect the
-    disagreement."""
+    inside apply_T_star must detect the disagreement, on either space."""
     spec = spec_for(2, 2, 2)
     real = ops._tstar_table.__wrapped__
 
-    def corrupted(s, q, top):
-        return tuple((I, beta, V, -sign) for I, beta, V, sign in real(s, q, top))
+    def corrupted(s, q, width):
+        return tuple((I, beta, V, -sign) for I, beta, V, sign in real(s, q, width))
 
     rng = random.Random(40)
-    adjoint = apply_Top_star if top else apply_T_star
     H = random_trig_form(rng, 2, spec.n if top else spec.N, 2, components=3)
-    assert not adjoint(spec, H).is_zero()  # sanity: healthy tables agree
+    assert not apply_T_star(spec, H).is_zero()  # sanity: healthy tables agree
     monkeypatch.setattr(ops, "_tstar_table", corrupted)
     with pytest.raises(ArithmeticError):
-        adjoint(spec, H)
+        apply_T_star(spec, H)

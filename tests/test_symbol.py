@@ -13,7 +13,6 @@ from divcurl.operators import (
     OperatorSpec,
     box_coeff_tensor,
     spec_for,
-    top_coeff_tensor,
 )
 from divcurl.symbol import (
     box_symbol,
@@ -166,7 +165,7 @@ def test_hybrid_scan_exact_for_unit_step():
 def _reference_symbol(spec, q, xi, source):
     """S(xi) summed entry by entry in Fraction arithmetic, straight from
     the tensor, with no table and no common denominator."""
-    tensor = top_coeff_tensor(spec, q) if source else box_coeff_tensor(spec, q)
+    tensor = box_coeff_tensor(spec, q, source)
     labs = labels(spec.n if source else spec.N, q)
     idx = {L: i for i, L in enumerate(labs)}
     S = [[Fraction(0)] * len(labs) for _ in labs]

@@ -76,6 +76,15 @@ def _forget_lowest(real):
     return lambda a, B: real(a, B & (B - 1))
 
 
+def _negate_source(real):
+    """box_coeff_tensor with every source-space (top=True) entry negated."""
+    def tensor(spec, q, top):
+        t = real(spec, q, top)
+        return operators.CoeffTensor(spec, q, top, {
+            key: -v for key, v in t.entries.items()}) if top else t
+    return tensor
+
+
 # (module, name, corruption of the real one, record family that must fail);
 # a star flipped at q = 1 misses the own probe (q = 2), not the box probes.
 # A flipped _t_table sign cancels in the squared diagonal entries, the only
@@ -87,8 +96,8 @@ CORRUPTIONS = [
      lambda real: lambda F, G: real(F, G) + 1, "adjoint_routes"),
     (verify, "hodge_star",
      lambda real: lambda F: real(F).scale(-1 if F.q == 1 else 1), "star_involution"),
-    (operators, "_tt_table", lambda real: lambda spec, q: real(spec, q) + tuple(
-        (I, a, b, M, -s) for I, a, b, M, s in real(spec, q)), "TT_nonzero"),
+    (operators, "_tt_table", lambda real: lambda *key: real(*key) + tuple(
+        (I, a, b, M, -s) for I, a, b, M, s in real(*key)), "TT_nonzero"),
     (operators, "_t_table", lambda real: lambda *key: _flip_first(real(*key)),
      "tensor_closed_form[q=2]"),
     (operators.CoeffTensor, "value",
@@ -99,9 +108,7 @@ CORRUPTIONS = [
         a: g.scale(-1) for a, g in real(spec, F).items()}, "reduction_roundtrip"),
     (verify, "divergence_defect", lambda real: lambda g: real(g)
      + next(iter(g.values())), "divergence_defect_zero"),
-    (verify, "top_coeff_tensor", lambda real: lambda spec, q: operators.CoeffTensor(
-        spec, q, True, {key: -v for key, v in real(spec, q).entries.items()}),
-     "source_tensor_closed_form"),
+    (verify, "box_coeff_tensor", _negate_source, "source_tensor_closed_form"),
     (operators, "_sort_sign", _forget_lowest, "adjoint_routes[q=1]"),
 ]
 
@@ -110,8 +117,8 @@ CORRUPTIONS = [
 def fresh_tables():
     """Corrupted tables must neither meet cached tensors nor leave any."""
     caches = (operators._t_table, operators._tstar_table,
-              operators.box_coeff_tensor, operators.top_coeff_tensor,
-              operators.box_coeff_closed_form, symbol._symbol_table)
+              operators.box_coeff_tensor, operators.box_coeff_closed_form,
+              symbol._symbol_table)
     for cache in caches:
         cache.cache_clear()
     yield
