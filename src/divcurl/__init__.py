@@ -40,7 +40,6 @@ from .operators import (
     box_apply,
     box_coeff_closed_form,
     box_coeff_tensor,
-    coeff_entry_closed_form,
     coeff_entry_direct,
     compose_TT,
     divergence_defect,

@@ -98,8 +98,7 @@ def _laplacian_json(obj, rows):
 
 def _cmd_laplacian(args):
     spec = spec_for(args.n, args.k, args.ell, kind=args.ordering)
-    width = spec.n if args.source else spec.N
-    q = args.q if args.q is not None else min(spec.ell, width)
+    q = args.q if args.q is not None else spec.ell
     tensor = box_coeff_tensor(spec, q, args.source)
     kronecker = tensor.is_kronecker()
     rows = sorted(tensor.entries.items())

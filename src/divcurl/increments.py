@@ -32,16 +32,17 @@ class IncrementSolution:
 
 
 def _solve_binomial(m: int, ell: int):
-    """Smallest N with C(N, ell) = m, or None.  C(N, ell) is strictly
-    increasing in N for N >= ell, so a linear climb terminates."""
-    N = ell
-    while True:
-        c = comb(N, ell)
-        if c == m:
-            return N
-        if c > m:
-            return None
-        N += 1
+    """The N >= ell with C(N, ell) = m, or None.  C(N, ell) is strictly
+    increasing in N for N >= ell and C(m, ell) >= m for ell < m, so a
+    bisection over [ell, max(ell, m)] finds it in O(log m) steps."""
+    lo, hi = ell, max(ell, m)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if comb(mid, ell) < m:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if comb(lo, ell) == m else None
 
 
 def increment_scan(n: int, k: int):

@@ -23,6 +23,7 @@ from the discrete closed/coclosed subspaces.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -433,8 +434,10 @@ def _is_int(value) -> bool:
 
 
 def _positive_numbers(value) -> bool:
+    """Positive numbers that fit a float (JSON reads 1e309 as inf)."""
     return isinstance(value, list) and all(
-        (_is_int(x) or isinstance(x, float)) and x > 0 for x in value)
+        (_is_int(x) or isinstance(x, float)) and 0 < x <= sys.float_info.max
+        for x in value)
 
 
 # probe keys whose values are checked up front: (test, what the value must be)

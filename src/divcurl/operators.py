@@ -27,7 +27,8 @@ integer coefficient tensor; box_coeff_tensor builds it by direct
 summation over connecting labels and box_coeff_closed_form builds it
 entry by entry from the overlap decomposition of the two derivative
 blocks, each on the hybrid or (top=True) the source space.  Both are
-exposed so they can be cross-checked exactly.
+exposed so they can be cross-checked exactly.  Both start at the guard
+_tensor_width, and a tensor carries the label width it returns.
 
 Every action runs through one table path: _apply picks the raising
 table _t_table or the coordinate-adjoint table _tstar_table over labels
@@ -60,8 +61,7 @@ against the other:
   coeff_entry_direct here;
 * _sort_sign, the parity of sum_{x in a} popcount(B & ((1 << x) - 1)),
   gives the signs of _tstar_table and of the closed form (_overlap_row,
-  shared by box_coeff_closed_form and coeff_entry_closed_form; it reads
-  no table).
+  read by box_coeff_closed_form; it reads no table).
 
 So the star-conjugate adjoint route and the summation = closed-form
 check each see a fault in either sign.  _tensor_by_summation sums on
@@ -99,7 +99,6 @@ __all__ = [
     "box_coeff_tensor",
     "box_coeff_closed_form",
     "coeff_entry_direct",
-    "coeff_entry_closed_form",
     "vs_reduction",
     "vs_lift",
     "divergence_defect",
@@ -405,12 +404,13 @@ class CoeffTensor:
 
     Entries are keyed by (M, I, alpha, beta) and omitted when zero; every
     stored value lies in {-2, -1, 1, 2}.  The tensor is symmetric under
-    the simultaneous swap (M, alpha) <-> (I, beta).
+    the simultaneous swap (M, alpha) <-> (I, beta).  Its labels lie in
+    {1..width}: width is N on the hybrid space and n on the source space.
     """
 
     spec: OperatorSpec
     q: int
-    top: bool
+    width: int
     entries: dict
 
     def value(self, M, I, alpha, beta) -> int:
@@ -418,18 +418,17 @@ class CoeffTensor:
 
     def contract(self, H: Form) -> Form:
         """Apply the Laplacian through the tensor; must equal box_apply."""
-        width = self.spec.n if self.top else self.spec.N
-        if (H.n, H.N, H.q) != (self.spec.n, width, self.q):
+        if (H.n, H.N, H.q) != (self.spec.n, self.width, self.q):
             raise ValueError("form shape does not match the tensor")
         table = [(I, tuple(x + y for x, y in zip(alpha, beta)), M, val)
                  for (M, I, alpha, beta), val in self.entries.items()]
-        return _apply_table(H, table, self.q, width, overall=(-1) ** self.spec.k)
+        return _apply_table(H, table, self.q, self.width,
+                            overall=(-1) ** self.spec.k)
 
     def is_kronecker(self) -> bool:
         """True when C^{MI}_{alpha beta} = delta_MI delta_alpha,beta."""
-        width = self.spec.n if self.top else self.spec.N
-        labs = set(labels(width, self.q))
-        alphas = {a for a, _, _ in _image_alphas(self.spec, width)}
+        labs = set(labels(self.width, self.q))
+        alphas = {a for a, _, _ in _image_alphas(self.spec, self.width)}
         return (len(self.entries) == len(labs) * len(alphas)
                 and all(v == 1 and M == I and a == b and I in labs
                         and a in alphas
@@ -497,6 +496,17 @@ def _tensor_by_summation(spec: OperatorSpec, q: int, width: int) -> dict:
     return entries
 
 
+def _tensor_width(spec: OperatorSpec, q: int, top: bool) -> int:
+    """Label width of the degree-q tensor, n on the source space (top=True)
+    and N on the hybrid space; raises where no tensor exists."""
+    if top and spec.n < spec.ell:
+        raise ValueError("source operator is trivial for n < ell")
+    width = spec.n if top else spec.N
+    if not (0 <= q <= width):
+        raise ValueError("degree out of range")
+    return width
+
+
 @lru_cache(maxsize=None)
 def box_coeff_tensor(spec: OperatorSpec, q: int, top: bool = False) -> CoeffTensor:
     """Tensor by direct summation over connecting labels L and K, on the
@@ -505,17 +515,14 @@ def box_coeff_tensor(spec: OperatorSpec, q: int, top: bool = False) -> CoeffTens
     The cache keys on the call as written, so every caller in the package
     passes top positionally: box_coeff_tensor(spec, q, top).
     """
-    if top and spec.n < spec.ell:
-        raise ValueError("source operator is trivial for n < ell")
-    width = spec.n if top else spec.N
-    if not (0 <= q <= width):
-        raise ValueError("degree out of range")
-    return CoeffTensor(spec, q, top, _tensor_by_summation(spec, q, width))
+    width = _tensor_width(spec, q, top)
+    return CoeffTensor(spec, q, width, _tensor_by_summation(spec, q, width))
 
 
-def coeff_entry_direct(spec, q, M, I, alpha, beta, top=False) -> int:
-    """One tensor entry by the literal sums over all L and K."""
+def coeff_entry_direct(spec, M, I, alpha, beta, top=False) -> int:
+    """One entry, at degree len(I), by the literal sums over all L and K."""
     width = spec.n if top else spec.N
+    q = len(I)
     a = spec.ordering.label_of(alpha)
     b = spec.ordering.label_of(beta)
     total = 0
@@ -569,34 +576,11 @@ def _overlap_row(ell, mI, a, ma, pairs):
     return row
 
 
-def coeff_entry_closed_form(spec, M, I, alpha, beta, top=False) -> int:
-    """One tensor entry from the overlap decomposition, no label sums;
-    zero when ordering(alpha) or ordering(beta) leaves {1..width}.  As in
-    coeff_entry_direct, M and I may be any arrangements of labels, each
-    giving its sign, and a repeated entry or one outside {1..width}
-    gives zero."""
-    width = spec.n if top else spec.N
-    a = spec.ordering.label_of(alpha)
-    b = spec.ordering.label_of(beta)
-    I = tuple(I)
-    if (max(a) > width or max(b) > width or len(set(I)) != len(I)
-            or not set(I) <= set(range(1, width + 1))):
-        return 0
-    mI = _mask(I)
-    row = _overlap_row(spec.ell, mI, a, _mask(a), [(beta, b, _mask(b))])
-    if not row:
-        return 0
-    _, mM, v = row[0]
-    index = _label_index(width, len(I))
-    return (v * perm_sign_between(index[mM], M)
-            * perm_sign_between(index[mI], I))
-
-
 @lru_cache(maxsize=None)
 def box_coeff_closed_form(spec: OperatorSpec, q: int, top: bool = False) -> CoeffTensor:
     """Full tensor from the overlap decomposition: each (I, alpha, beta)
     has at most one M with a nonzero entry."""
-    width = spec.n if top else spec.N
+    width = _tensor_width(spec, q, top)
     pairs = _image_alphas(spec, width)
     index = _label_index(width, q)
     entries = {}
@@ -604,7 +588,7 @@ def box_coeff_closed_form(spec: OperatorSpec, q: int, top: bool = False) -> Coef
         for alpha, a, ma in pairs:
             for beta, mM, v in _overlap_row(spec.ell, mI, a, ma, pairs):
                 entries[index[mM], I, alpha, beta] = v
-    return CoeffTensor(spec, q, top, entries)
+    return CoeffTensor(spec, q, width, entries)
 
 
 # ---- the scalar dictionary: reduction to divergence form and back -----------

@@ -71,7 +71,7 @@ def _symbol_table(spec: OperatorSpec, q: int, source: bool):
     """(labels, gammas, slots): slots holds (i, j, ((g, c), ...)) with
     gammas[g] the exponent and c the integer tensor sum on it."""
     tensor = box_coeff_tensor(spec, q, source)
-    labs = labels(spec.n if source else spec.N, q)
+    labs = labels(tensor.width, q)
     idx = {L: i for i, L in enumerate(labs)}
     gamma_idx = {}
     sums = {}
@@ -232,7 +232,7 @@ def wave_symbol_check(spec, q, xi_int, zeta=None, source=False) -> bool:
     defaults to all ones.  Returns True or raises with the discrepancy.
     """
     xi_int = tuple(int(x) for x in xi_int)
-    width = spec.n if source else spec.N
+    width = box_coeff_tensor(spec, q, bool(source)).width
     labs, S = box_symbol(spec, q, xi_int, source=source)
     if zeta is None:
         zeta = [Fraction(1)] * len(labs)

@@ -184,7 +184,7 @@ def identity_suite(spec: OperatorSpec, rng: random.Random, deep=False):
             kronecker = t.is_kronecker()
             rec(f"tensor_kronecker[q={q}]", kronecker,
                 "" if kronecker else "ell=1 tensor is not the identity")
-        spot = [(key, v, coeff_entry_direct(spec, q, *key))
+        spot = [(key, v, coeff_entry_direct(spec, *key))
                 for key, v in sorted(t.entries.items())[:4]]
         bad = [f"entry {key}: tensor {v} direct sum {d}"
                for key, v, d in spot if d != v]
@@ -214,9 +214,9 @@ def identity_suite(spec: OperatorSpec, rng: random.Random, deep=False):
                     "" if lhs == rhs else f"{lhs} != {rhs}")
             except ArithmeticError as e:
                 rec(f"source_adjointness[q={q}]", False, str(e))
-        q = min(spec.ell, spec.n)
-        diff = _first_entry_difference(box_coeff_tensor(spec, q, True),
-                                       box_coeff_closed_form(spec, q, True))
+        diff = _first_entry_difference(
+            box_coeff_tensor(spec, spec.ell, True),
+            box_coeff_closed_form(spec, spec.ell, True))
         rec("source_tensor_closed_form", not diff, diff)
 
     # reduction / lift dictionary at degree N - ell
@@ -237,8 +237,7 @@ def identity_suite(spec: OperatorSpec, rng: random.Random, deep=False):
             f"first nonzero term {sorted(dd.terms.items())[0]}")
 
     # star involution sign law on its own probe and every Laplacian probe
-    q = min(spec.ell, spec.N)
-    F = random_trig_form(rng, spec.n, spec.N, q, components=2)
+    F = random_trig_form(rng, spec.n, spec.N, spec.ell, components=2)
     bad = [P.q for P in [F] + box_probes if not (hodge_star(hodge_star(P))
            - P.scale((-1) ** (P.q * (P.N - P.q)))).is_zero()]
     rec("star_involution", not bad,

@@ -292,6 +292,17 @@ def test_version_flag(capsys):
     ({"probes": [{"kind": "duality", "n": 2, "k": 1, "q": 1,
                   "sigma_range": [0.25, 0.4], "lams": []}]},
      "probe 0 (duality): lams must be a non-empty list of positive numbers"),
+    # JSON reads 1e309 as inf; these ran and printed NaN, which is not JSON
+    ({"probes": [{"kind": "duality", "n": 2, "k": 1, "q": 1,
+                  "sigma_range": [0.25, 0.4], "lams": [1.0, float("inf")]}]},
+     "probe 0 (duality): lams must be a non-empty list of positive numbers"),
+    ({"probes": [{"kind": "gn", "n": 2, "k": 1, "ell": 1, "q": 0,
+                  "sigma_range": [float("inf"), float("inf")]}]},
+     "probe 0 (gn): sigma_range must be a list of two positive numbers"),
+    # an integer past the largest float overflowed inside the probe
+    ({"probes": [{"kind": "gn", "n": 2, "k": 1, "ell": 1, "q": 0,
+                  "sigma_range": [0.25, 10 ** 400]}]},
+     "probe 0 (gn): sigma_range must be a list of two positive numbers"),
 ])
 def test_ineq_malformed_config_is_a_one_line_error(capsys, tmp_path, config,
                                                    message):

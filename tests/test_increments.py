@@ -84,6 +84,18 @@ def test_dimension_constraint_never_fires_for_ell_at_most_k():
             assert admissible
 
 
+def test_large_m_is_solved_without_a_climb():
+    """(20, 20) has m = C(39, 20), about 6.9e10: ell = 1 needs N = m, out
+    of reach of a step-by-step climb.  No spec is built, since
+    multiindices(20, 20) would have m entries."""
+    admissible, rejected = increment_scan(20, 20)
+    assert [(s.ell, s.N) for s in admissible] == [
+        (1, 68923264410), (19, 39), (20, 39)]
+    assert rejected == []
+    for s in admissible:
+        assert math.comb(s.N, s.ell) == s.m == math.comb(39, 20)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         increment_scan(1, 3)

@@ -33,7 +33,6 @@ from divcurl.operators import (
     box_apply,
     box_coeff_closed_form,
     box_coeff_tensor,
-    coeff_entry_closed_form,
     coeff_entry_direct,
     compose_TT,
     invariance_defect,
@@ -244,20 +243,34 @@ def test_tensor_triple_agreement():
               for q in range(spec.n + 1)]
     for spec, q, top in cases:
         A = box_coeff_tensor(spec, q, top)
-        B = box_coeff_closed_form(spec, q, top=top)
+        B = box_coeff_closed_form(spec, q, top)
         assert A.entries == B.entries
         keys = list(A.entries)
         for M, I, a, b in rng.sample(keys, min(6, len(keys))):
-            v = A.value(M, I, a, b)
-            assert v == coeff_entry_direct(spec, q, M, I, a, b, top=top)
-            assert v == coeff_entry_closed_form(spec, M, I, a, b, top=top)
+            assert (A.value(M, I, a, b)
+                    == coeff_entry_direct(spec, M, I, a, b, top))
+
+
+def test_tensor_routes_raise_alike_where_no_tensor_exists():
+    """Both tensor routes raise the same error on the source space when
+    n < ell, at any degree, and at a degree outside 0..N on the hybrid
+    space."""
+    small, hybrid = spec_for(2, 3, 3), spec_for(3, 2, 2)
+    cases = [(small, 0, True, "source operator is trivial for n < ell"),
+             (small, 5, True, "source operator is trivial for n < ell"),
+             (hybrid, hybrid.N + 1, False, "degree out of range"),
+             (hybrid, -1, False, "degree out of range")]
+    for spec, q, top, message in cases:
+        for build in (box_coeff_tensor, box_coeff_closed_form):
+            with pytest.raises(ValueError, match=message):
+                build(spec, q, top)
 
 
 def test_single_entry_routes_agree_on_every_entry():
-    """coeff_entry_closed_form == coeff_entry_direct on every (M, I, alpha,
-    beta) of every admissible spec with N <= 4, canonical and one random
-    ordering, on the hybrid and (when n >= ell) the source space.  On the
-    source space an ordering(alpha) outside {1..n} gives 0."""
+    """The closed-form tensor's value == coeff_entry_direct on every (M, I,
+    alpha, beta) of every admissible spec with N <= 4, canonical and one
+    random ordering, on the hybrid and (when n >= ell) the source space.
+    On the source space an ordering(alpha) outside {1..n} gives 0."""
     rng = random.Random(38)
     specs = []
     # N <= 4 caps C(n - 1 + k, k) = C(N, ell) at C(4, 2) = 6: n <= 4, k <= 5
@@ -273,27 +286,28 @@ def test_single_entry_routes_agree_on_every_entry():
         for top in [False] + [True] * (spec.n >= spec.ell):
             width = spec.n if top else spec.N
             for q in range(width + 1):
+                B = box_coeff_closed_form(spec, q, top)
                 for M, I in itertools.product(labels(width, q), repeat=2):
                     for a, b in itertools.product(alphas, repeat=2):
-                        assert (coeff_entry_closed_form(spec, M, I, a, b, top)
-                                == coeff_entry_direct(spec, q, M, I, a, b, top))
+                        assert (B.value(M, I, a, b)
+                                == coeff_entry_direct(spec, M, I, a, b, top))
     # ordering(0, 2) = (3,) lies outside the source labels {1, 2}
-    assert coeff_entry_closed_form(spec_for(2, 2, 1), (), (), (0, 2), (0, 2),
-                                   top=True) == 0
-    # a reversed M or I (one swap at q = 2) carries its sign on both routes
+    assert coeff_entry_direct(spec_for(2, 2, 1), (), (), (0, 2), (0, 2),
+                              top=True) == 0
+    # a reversed M or I (one swap at q = 2) flips the sign of the entry
     spec = spec_for(3, 2, 2)
+    B = box_coeff_closed_form(spec, 2, False)
     for M, I in itertools.product(labels(spec.N, 2), repeat=2):
         for a, b in itertools.product(multiindices(3, 2), repeat=2):
             for M2, I2 in ((M[::-1], I), (M, I[::-1])):
-                assert (coeff_entry_closed_form(spec, M2, I2, a, b)
-                        == coeff_entry_direct(spec, 2, M2, I2, a, b))
-    # a repeated entry, one outside {1..N} or too many give 0 on both routes
+                assert (coeff_entry_direct(spec, M2, I2, a, b)
+                        == -B.value(M, I, a, b))
+    # a repeated entry, one outside {1..N} or too many give 0
     for I in ((1, 1), (0, 1), (-1, 2), (2, spec.N + 1),
               tuple(range(1, spec.N + 2))):
         for M in (I, (1, 2)):
             for a, b in itertools.product(multiindices(3, 2), repeat=2):
-                assert coeff_entry_closed_form(spec, M, I, a, b) == 0
-                assert coeff_entry_direct(spec, len(I), M, I, a, b) == 0
+                assert coeff_entry_direct(spec, M, I, a, b) == 0
 
 
 def test_tensor_hand_computed_entry():

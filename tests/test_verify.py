@@ -80,7 +80,7 @@ def _negate_source(real):
     """box_coeff_tensor with every source-space (top=True) entry negated."""
     def tensor(spec, q, top):
         t = real(spec, q, top)
-        return operators.CoeffTensor(spec, q, top, {
+        return operators.CoeffTensor(spec, q, t.width, {
             key: -v for key, v in t.entries.items()}) if top else t
     return tensor
 
