@@ -173,7 +173,8 @@ class Form:
         if (self.n, self.N, self.q) != (other.n, other.N, other.q):
             return False
         if self.backend == "trig" and other.backend == "trig":
-            return (self - other).is_zero()
+            # exact: no stored coefficient is zero, and terms are canonical
+            return self.coeffs == other.coeffs
         return NotImplemented
 
     def __repr__(self):
@@ -247,11 +248,15 @@ def _integral(c):
 
 
 def inner_product(F: Form, G: Form):
-    """Label-wise pairing sum_I integral(F_I * G_I); exact on TrigPoly."""
+    """Label-wise pairing sum_I integral(F_I * G_I); exact on TrigPoly,
+    where each label pairs its terms (TrigPoly.mean_product) instead of
+    forming the product."""
     F._check_shape(G)
-    total = Fraction(0) if F.backend == "trig" else 0.0
+    exact = F.backend == "trig"
+    total = Fraction(0) if exact else 0.0
     for lab in set(F.coeffs) & set(G.coeffs):
-        total += _integral(F.coeffs[lab] * G.coeffs[lab])
+        f, g = F.coeffs[lab], G.coeffs[lab]
+        total += f.mean_product(g) if exact else _integral(f * g)
     return total
 
 

@@ -22,6 +22,7 @@ from the discrete closed/coclosed subspaces.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -346,7 +347,7 @@ def default_config() -> dict:
 
 def _probe_duality(entry, rng) -> dict:
     n, k, q = entry["n"], entry["k"], entry["q"]
-    P = entry.get("P", 64)
+    P = _grid_P(entry)
     N = n  # duality pairs live on whatever label space; source space here
     ratios = []
     drifts = []
@@ -366,7 +367,7 @@ def _probe_duality(entry, rng) -> dict:
 def _probe_gn(entry, rng) -> dict:
     spec = spec_for(entry["n"], entry["k"], entry["ell"],
                     kind=entry.get("ordering", "lexicographic"))
-    q, P = entry["q"], entry.get("P", 64)
+    q, P = entry["q"], _grid_P(entry)
     ratios = []
     for _ in range(entry.get("trials", 4)):
         u, _ = random_bump_form(rng, spec.n, spec.n, q, P,
@@ -378,7 +379,7 @@ def _probe_gn(entry, rng) -> dict:
 def _probe_gn_dilation(entry, rng) -> dict:
     spec = spec_for(entry["n"], entry["k"], entry["ell"],
                     kind=entry.get("ordering", "lexicographic"))
-    q, P = entry["q"], entry.get("P", 128)
+    q, P = entry["q"], _grid_P(entry)
     _, specs = random_bump_form(rng, spec.n, spec.n, q, P,
                                 sigma_range=tuple(entry["sigma_range"]),
                                 spread=0.8)
@@ -393,7 +394,7 @@ def _probe_gn_dilation(entry, rng) -> dict:
 
 
 def _probe_classical_gn(entry, rng) -> dict:
-    n, P = entry["n"], entry.get("P", 64)
+    n, P = entry["n"], _grid_P(entry)
     spec = spec_for(n, 1, 1)
     rows = []
     for _ in range(entry.get("trials", 4)):
@@ -409,7 +410,7 @@ def _probe_classical_gn(entry, rng) -> dict:
 def _probe_hodge(entry, rng) -> dict:
     spec = spec_for(entry["n"], entry["k"], entry["ell"],
                     kind=entry.get("ordering", "lexicographic"))
-    q, P = entry["q"], entry.get("P", 32)
+    q, P = entry["q"], _grid_P(entry)
     phi, _ = random_bump_form(rng, spec.n, spec.N, q, P, components=2)
     F = _apply(spec, phi, adjoint=False)
     Z, info = hodge_solve(spec, q, F=F)
@@ -418,15 +419,19 @@ def _probe_hodge(entry, rng) -> dict:
             "closedness_F": info["closedness_F"]}
 
 
-# probe kind -> (probe function, keys its entry must carry)
+# probe kind -> (probe function, keys its entry must carry, default P)
 _PROBES = {
-    "duality": (_probe_duality, ("n", "k", "q", "sigma_range")),
-    "gn": (_probe_gn, ("n", "k", "ell", "q", "sigma_range")),
+    "duality": (_probe_duality, ("n", "k", "q", "sigma_range"), 64),
+    "gn": (_probe_gn, ("n", "k", "ell", "q", "sigma_range"), 64),
     "gn_dilation": (_probe_gn_dilation,
-                    ("n", "k", "ell", "q", "sigma_range", "lams")),
-    "classical_gn": (_probe_classical_gn, ("n",)),
-    "hodge": (_probe_hodge, ("n", "k", "ell", "q")),
+                    ("n", "k", "ell", "q", "sigma_range", "lams"), 128),
+    "classical_gn": (_probe_classical_gn, ("n",), 64),
+    "hodge": (_probe_hodge, ("n", "k", "ell", "q"), 32),
 }
+
+
+def _grid_P(entry) -> int:
+    return entry.get("P", _PROBES[entry["kind"]][2])
 
 
 def _is_int(value) -> bool:
@@ -450,6 +455,17 @@ _VALUE_RULES = {
     "lams": (lambda v: _positive_numbers(v) and len(v) >= 1,
              "a non-empty list of positive numbers"),
 }
+
+
+def _bump_width_ok(width: float, P: int) -> bool:
+    """_periodized_gaussian_1d of this width is finite and nonzero on the
+    P grid wherever its center sits: width^2 neither overflows nor
+    underflows, and the line centered half a grid step off the nodes,
+    where its largest sample is smallest, keeps a nonzero sample."""
+    if not 0 < width * width < math.inf:
+        return False
+    with np.errstate(over="ignore", under="ignore"):
+        return bool(_periodized_gaussian_1d(P, np.pi / P, width).max() > 0)
 
 
 def _check_config(config) -> None:
@@ -476,6 +492,15 @@ def _check_config(config) -> None:
         for key, (ok, what) in _VALUE_RULES.items():
             if key in entry and not ok(entry[key]):
                 raise ValueError(f"probe {i} ({kind}): {key} must be {what}")
+        P = _grid_P(entry)
+        for sigma in entry.get("sigma_range", ()):
+            for lam in entry.get("lams", [1.0]):
+                width = float(sigma) * float(lam)
+                if not _bump_width_ok(width, P):
+                    raise ValueError(
+                        f"probe {i} ({kind}): bump width {width!r} (a "
+                        "sigma_range end times a lams entry) does not give "
+                        f"a finite, nonzero bump on the P = {P} grid")
 
 
 def run_suite(config: dict) -> dict:

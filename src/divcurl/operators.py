@@ -37,7 +37,9 @@ _apply_table, which evaluates (I, alpha, OUT, sign) entries on either
 backend.  apply_T, apply_T_star_coordinate, box_apply,
 CoeffTensor.contract and tt_single_orientation all end there.  The
 tables are keyed by the label width, so when N == n the two spaces
-share them.
+share them.  On exact forms _apply_table runs on integer numerators
+over one common denominator and builds one Fraction per output term;
+apply_T_star compares its two routes with Form ==, which is exact.
 
 _t_table is the only enumeration of the raising coupling: the summation
 tensor, the real T o T (_tt_table) and the scalar dictionary (vs_reduction
@@ -70,7 +72,9 @@ packed int keys and turns only the nonzero sums into tuple keys.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -85,6 +89,7 @@ from .multiindex import (
     multiindices,
     perm_sign_between,
 )
+from .trigpoly import TrigPoly, _quarter_turns
 
 __all__ = [
     "OperatorSpec",
@@ -217,24 +222,49 @@ def _tstar_table(spec: OperatorSpec, q: int, width: int):
 
 def _apply_table(F: Form, entries, out_q: int, width: int, overall=1) -> Form:
     """Evaluate sum sign * overall * d^alpha F_I on each output label of a
-    table of (I, alpha, OUT, sign) entries."""
+    table of (I, alpha, OUT, sign) entries.
+
+    Exact forms run on integer numerators over the lcm D of F's
+    coefficient denominators: each entry adds sign * overall * (quarter
+    turn sign) * w^alpha * numerator into one int sum per (OUT, freq,
+    phase), a sum that reaches 0 is deleted (so the terms keep the order
+    a merge per entry gives them), and each surviving sum becomes one
+    Fraction over D at the end.
+    """
     if F.backend == "grid":
         return _apply_table_grid(F, entries, out_q, width, overall)
+    n = F.n
+    D = math.lcm(*(c.denominator for poly in F.coeffs.values()
+                   for c in poly.terms.values()))
+    numerators = {I: [(freq, phase, c.numerator * (D // c.denominator))
+                      for (freq, phase), c in poly.terms.items()]
+                  for I, poly in F.coeffs.items()}
     acc = {}
     for I, alpha, OUT, sign in entries:
-        c = F.coeffs.get(I)
-        if c is None:
+        terms = numerators.get(I)
+        if terms is None:
             continue
-        term = c.diff_alpha(alpha)
+        powers, flip, turn = _quarter_turns(alpha, n)
         factor = sign * overall
-        if factor not in (1, -1):  # |factor| = 2 occurs in tensor contraction
-            term, factor = term.scale(factor), 1
-        prev = acc.get(OUT)
-        if prev is None:
-            acc[OUT] = term if factor == 1 else -term
-        else:
-            acc[OUT] = prev + term if factor == 1 else prev - term
-    return Form(F.n, width, out_q, acc, backend="trig")
+        by_phase = (factor * turn[0], factor * turn[1])
+        out = acc.get(OUT)
+        if out is None:
+            out = acc[OUT] = {}
+        for freq, phase, v in terms:
+            mono = by_phase[phase] * v
+            for axis, order in powers:
+                mono *= freq[axis] ** order
+            if mono:
+                key = (freq, phase ^ flip)
+                total = out.get(key, 0) + mono
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
+    return Form(n, width, out_q,
+                {OUT: TrigPoly._canonical(n, {key: Fraction(v, D)
+                                               for key, v in out.items()})
+                 for OUT, out in acc.items()}, backend="trig")
 
 
 def _apply_table_grid(F: Form, entries, out_q, width, overall) -> Form:
@@ -325,8 +355,7 @@ def apply_T_star(spec: OperatorSpec, H: Form) -> Form:
     if H.q < spec.ell:
         raise ValueError("adjoint needs degree q >= ell")
     out = _star_conjugate(spec, H)
-    if (H.backend == "trig"
-            and not (out - _apply(spec, H, adjoint=True)).is_zero()):
+    if H.backend == "trig" and out != _apply(spec, H, adjoint=True):
         raise ArithmeticError(
             "adjoint routes disagree; an epsilon or sign table is corrupt"
         )

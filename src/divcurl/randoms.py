@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from .forms import Form
 from .multiindex import labels, multiindices
-from .trigpoly import COS, SIN, TrigPoly
+from .trigpoly import COS, SIN, TrigPoly, _canon
 
 __all__ = [
     "random_rational",
@@ -24,12 +24,22 @@ def random_rational(rng: random.Random) -> Fraction:
 
 
 def random_trigpoly(rng: random.Random, n, max_freq=2, terms=2) -> TrigPoly:
-    acc = TrigPoly.zero(n)
+    """Sum of `terms` random waves, merged canonically in one dict in the
+    order they are drawn (a wave that cancels a stored one removes it)."""
+    acc = {}
     for _ in range(terms):
         freq = tuple(rng.randint(-max_freq, max_freq) for _ in range(n))
         phase = rng.choice((COS, SIN))
-        acc = acc + TrigPoly.wave(n, freq, phase, random_rational(rng))
-    return acc
+        wave = _canon(freq, phase, random_rational(rng))
+        if wave is None:
+            continue
+        key = wave[:2]
+        total = acc.get(key, 0) + wave[2]
+        if total:
+            acc[key] = total
+        else:
+            del acc[key]
+    return TrigPoly._canonical(n, acc)
 
 
 def random_trig_form(rng: random.Random, n, N, q, components=3) -> Form:

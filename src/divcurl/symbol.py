@@ -247,7 +247,7 @@ def wave_symbol_check(spec, q, xi_int, zeta=None, source=False) -> bool:
         if val != 0:
             expected[L] = wave.scale(val)
     want = Form(spec.n, width, q, expected, backend="trig")
-    diff = out - want
-    if not diff.is_zero():
-        raise ArithmeticError(f"symbol mismatch at xi={xi_int}: {diff.coeffs}")
+    if out != want:
+        raise ArithmeticError(
+            f"symbol mismatch at xi={xi_int}: {(out - want).coeffs}")
     return True

@@ -13,6 +13,8 @@ is positive (cos is even, sin is odd) and zero coefficients are dropped.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import add, sub
 
 import numpy as np
 
@@ -36,6 +38,21 @@ def _canon(freq, phase, coeff):
         if phase == SIN:
             coeff = -coeff
     return freq, phase, coeff
+
+
+@lru_cache(maxsize=None)
+def _quarter_turns(alpha: tuple, n: int):
+    """(powers, flip, sign) of the mixed partial d^alpha in n variables:
+    the (axis, order) pairs with order > 0, |alpha| mod 2 (a flip swaps
+    cos and sin), and the sign |alpha| quarter turns put on a term, by
+    its phase.  Slots of alpha beyond n must be 0."""
+    if len(alpha) > n:
+        if any(alpha[n:]):
+            raise ValueError("derivative slot beyond the variable count")
+        alpha = alpha[:n]
+    powers = tuple((axis, order) for axis, order in enumerate(alpha) if order)
+    turns = sum(order for _, order in powers) % 4
+    return powers, turns % 2, ((1, -1, -1, 1)[turns], (1, 1, -1, -1)[turns])
 
 
 class TrigPoly:
@@ -118,43 +135,50 @@ class TrigPoly:
 
     def scale(self, factor):
         factor = Fraction(factor)
+        if factor == 1:
+            return self
+        if factor == -1:
+            return -self
         if not factor:
             return TrigPoly._canonical(self.n, {})
         return TrigPoly._canonical(
             self.n, {k: c * factor for k, c in self.terms.items()})
 
     def __mul__(self, other):
+        """Product by the product-to-sum identities, canonical inline: the
+        sum u + v of two canonical frequencies is canonical, and only the
+        difference u - v may need its sign flipped (or, at 0, its sin
+        term dropped)."""
         if not isinstance(other, TrigPoly):
             return self.scale(other)
         if other.n != self.n:
             raise ValueError("dimension mismatch")
         half = Fraction(1, 2)
         acc = {}
-
-        def put(freq, phase, coeff):
-            c = _canon(freq, phase, coeff)
-            if c is None:
-                return
-            key = (c[0], c[1])
-            acc[key] = acc.get(key, Fraction(0)) + c[2]
-
+        get = acc.get
         for (u, pu), cu in self.terms.items():
             for (v, pv), cv in other.terms.items():
                 c = cu * cv * half
-                plus = tuple(a + b for a, b in zip(u, v))
-                minus = tuple(a - b for a, b in zip(u, v))
-                if pu == COS and pv == COS:
-                    put(minus, COS, c)
-                    put(plus, COS, c)
-                elif pu == SIN and pv == SIN:
-                    put(minus, COS, c)
-                    put(plus, COS, -c)
-                elif pu == SIN and pv == COS:
-                    put(plus, SIN, c)
-                    put(minus, SIN, c)
-                else:  # cos * sin
-                    put(plus, SIN, c)
-                    put(minus, SIN, -c)
+                plus = tuple(map(add, u, v))
+                minus = tuple(map(sub, u, v))
+                lead = 0
+                for lead in minus:
+                    if lead:
+                        break
+                if lead < 0:
+                    minus = tuple(-f for f in minus)
+                if pu == pv:  # cos cos: c, c; sin sin: c, -c
+                    key = (minus, COS)
+                    acc[key] = get(key, 0) + c
+                    key = (plus, COS)
+                    acc[key] = get(key, 0) + (c if pu == COS else -c)
+                else:  # sin cos: c, c; cos sin: c, -c; then -1 per flip
+                    key = (plus, SIN)
+                    acc[key] = get(key, 0) + c
+                    if lead:
+                        key = (minus, SIN)
+                        m = c if (pu == SIN) == (lead > 0) else -c
+                        acc[key] = get(key, 0) + m
         return TrigPoly._canonical(self.n, {k: c for k, c in acc.items() if c})
 
     __rmul__ = __mul__
@@ -185,17 +209,9 @@ class TrigPoly:
         the frequency and maps distinct terms to distinct terms, so the
         result is canonical without re-normalization.
         """
-        alpha = tuple(alpha)
-        if len(alpha) > self.n:
-            if any(alpha[self.n:]):
-                raise ValueError("derivative slot beyond the variable count")
-            alpha = alpha[: self.n]
-        powers = [(axis, order) for axis, order in enumerate(alpha) if order]
+        powers, flip, sign = _quarter_turns(tuple(alpha), self.n)
         if not powers:
             return self
-        turns = sum(order for _, order in powers) % 4
-        flip = turns % 2
-        sign = ((1, -1, -1, 1)[turns], (1, 1, -1, -1)[turns])  # by phase
         out = {}
         for (freq, phase), coeff in self.terms.items():
             mono = 1
@@ -208,6 +224,32 @@ class TrigPoly:
     def mean(self) -> Fraction:
         """Mean value over the torus with normalized measure (2pi)^-n."""
         return self.terms.get(((0,) * self.n, COS), Fraction(0))
+
+    def mean_product(self, other: "TrigPoly") -> Fraction:
+        """Mean of self * other over the torus, without the product.
+
+        Distinct canonical terms are orthogonal, so only equal (freq,
+        phase) keys pair: c d at the zero frequency and c d / 2 at every
+        other one, where cos^2 and sin^2 have mean 1/2.  Linear in the
+        term count, where (self * other).mean() is quadratic; the two are
+        equal.
+        """
+        if other.n != self.n:
+            raise ValueError("dimension mismatch")
+        small, large = self.terms, other.terms
+        if len(small) > len(large):
+            small, large = large, small
+        zero = ((0,) * self.n, COS)
+        const = Fraction(0)
+        wave = Fraction(0)
+        for key, c in small.items():
+            d = large.get(key)
+            if d is not None:
+                if key == zero:
+                    const = c * d
+                else:
+                    wave += c * d
+        return const + wave / 2
 
     # ---- predicates and helpers ----------------------------------------
 

@@ -309,6 +309,20 @@ def test_version_flag(capsys):
     ({"probes": [{"kind": "gn", "n": 2, "k": 1, "ell": 1, "q": 0,
                   "sigma_range": [0.25, 10 ** 400]}]},
      "probe 0 (gn): sigma_range must be a list of two positive numbers"),
+    # finite widths whose square overflows (a traceback) or underflows
+    # (NaN ratios, or a RuntimeWarning before a degenerate-probe error)
+    ({"probes": [{"kind": "gn", "n": 2, "k": 1, "ell": 1, "q": 0,
+                  "sigma_range": [1e308, 1e308]}]},
+     "probe 0 (gn): bump width 1e+308 "),
+    ({"probes": [{"kind": "duality", "n": 2, "k": 1, "q": 1,
+                  "sigma_range": [0.25, 0.4], "lams": [1.0, 1e308]}]},
+     "probe 0 (duality): bump width 2.5e+307 "),
+    ({"probes": [{"kind": "duality", "n": 2, "k": 1, "q": 1,
+                  "sigma_range": [0.25, 0.4], "lams": [1.0, 1e-300]}]},
+     "probe 0 (duality): bump width 2.5e-301 "),
+    ({"probes": [{"kind": "gn", "n": 2, "k": 1, "ell": 1, "q": 0,
+                  "sigma_range": [1e-300, 1e-300]}]},
+     "probe 0 (gn): bump width 1e-300 "),
 ])
 def test_ineq_malformed_config_is_a_one_line_error(capsys, tmp_path, config,
                                                    message):

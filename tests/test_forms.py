@@ -24,6 +24,7 @@ from divcurl.forms import (
     zero_form,
 )
 from divcurl.gridfield import GridField, grid_points
+from divcurl.multiindex import labels
 from divcurl.randoms import random_trig_form
 from divcurl.trigpoly import TrigPoly
 
@@ -97,6 +98,36 @@ def test_pairing_two_routes_agree_exactly():
             b = inner_product_wedge(F, G)
             assert a == b and isinstance(a, Fraction)
             assert inner_product(F, G) == inner_product(G, F)
+
+
+def test_exact_pairing_equals_the_mean_of_the_product():
+    """inner_product pairs terms on the exact backend; summing the means
+    of the label-wise products is the reference."""
+    rng = random.Random(81)
+    for n, N in [(2, 2), (2, 4), (3, 3), (3, 6)]:
+        for q in range(N + 1):
+            F = random_trig_form(rng, n, N, q, components=4)
+            H = random_trig_form(rng, n, N, q, components=3)
+            for G in (F, H, F + H, zero_form(n, N, q)):
+                want = sum((F.coeff(lab) * G.coeff(lab)).mean()
+                           for lab in set(F.coeffs) | set(G.coeffs))
+                got = inner_product(F, G)
+                assert got == want and type(got) is Fraction
+
+
+def test_exact_equality_agrees_with_a_zero_difference():
+    """Form == compares the coefficient dicts on the exact backend, which
+    must say what (F - G).is_zero() says."""
+    rng = random.Random(82)
+    for n, N in [(2, 2), (2, 3), (3, 5)]:
+        for q in range(N + 1):
+            F = random_trig_form(rng, n, N, q, components=3)
+            H = random_trig_form(rng, n, N, q, components=2)
+            bump = Form(n, N, q, {labels(N, q)[0]: TrigPoly.const(n, 1)})
+            for G in (F, F + H - H, H, F + H, F + bump, F.scale(-1),
+                      F.scale(2), zero_form(n, N, q)):
+                assert (F == G) == (F - G).is_zero() == (G == F)
+                assert (F != G) != (F == G)
 
 
 def test_norm_frozen_values():

@@ -10,6 +10,7 @@ from divcurl.forms import Form, lp_norm, zero_form
 from divcurl.gridfield import GridField
 from divcurl.inequalities import (
     BumpSpec,
+    _check_config,
     classical_gn_ratio,
     default_config,
     duality_dilation_study,
@@ -293,3 +294,15 @@ def test_default_config_shape():
     cfg = default_config()
     kinds = [e["kind"] for e in cfg["probes"]]
     assert kinds == ["duality", "gn", "gn_dilation", "classical_gn", "hodge"]
+
+
+def test_config_bump_widths_are_bounded_on_the_probe_grid():
+    """A width passes when a bump centered half a grid step off the nodes
+    keeps a nonzero sample on the probe's grid: P, or the kind's default
+    P when the entry has none."""
+    entry = {"kind": "gn", "n": 2, "k": 1, "ell": 1, "q": 0,
+             "sigma_range": [0.002, 0.25]}
+    _check_config({"probes": [entry]})                      # P = 64
+    with pytest.raises(ValueError, match=r"^probe 0 \(gn\): bump width 0\.002 "):
+        _check_config({"probes": [dict(entry, P=8)]})
+    _check_config(default_config())

@@ -39,7 +39,8 @@ from divcurl.operators import (
     spec_for,
     tt_single_orientation,
 )
-from divcurl.randoms import random_trig_form
+from divcurl.randoms import random_trig_form, random_trigpoly
+from divcurl.verify import default_cases
 from divcurl.trigpoly import TrigPoly
 
 SPECS = [
@@ -486,3 +487,72 @@ def test_adjoint_cross_check_fires_on_corruption(monkeypatch, top):
     monkeypatch.setattr(ops, "_tstar_table", corrupted)
     with pytest.raises(ArithmeticError):
         apply_T_star(spec, H)
+
+
+# ---- the exact apply on integer numerators vs the per-entry reference ------
+
+
+def _apply_table_per_entry(F, entries, out_q, width, overall=1):
+    """The exact apply as a per-entry loop: one diff_alpha and one merge
+    per table entry."""
+    acc = {}
+    for I, alpha, OUT, sign in entries:
+        c = F.coeffs.get(I)
+        if c is None:
+            continue
+        term = c.diff_alpha(alpha).scale(sign * overall)
+        prev = acc.get(OUT)
+        acc[OUT] = term if prev is None else prev + term
+    return Form(F.n, width, out_q, acc, backend="trig")
+
+
+def _assert_same_terms_in_order(got, want):
+    assert list(got.coeffs) == list(want.coeffs)
+    for lab, c in want.coeffs.items():
+        assert list(got.coeffs[lab].terms.items()) == list(c.terms.items())
+        assert all(type(v) is Fraction for v in got.coeffs[lab].terms.values())
+
+
+def _apply_tables(spec, q, width):
+    """(table, output degree, overall) of T, T* and the tensor contraction
+    at degree q over labels {1..width}."""
+    sign_k = (-1) ** spec.k
+    tables = []
+    if q + spec.ell <= width:
+        tables.append((ops._t_table(spec, q, width), q + spec.ell, 1))
+    if q >= spec.ell:
+        tables.append((ops._tstar_table(spec, q, width), q - spec.ell, sign_k))
+    tensor = box_coeff_tensor(spec, q, width == spec.n)
+    tables.append(([(I, tuple(x + y for x, y in zip(a, b)), M, v)
+                    for (M, I, a, b), v in tensor.entries.items()], q, sign_k))
+    return tables
+
+
+@pytest.mark.parametrize("case", default_cases(),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_exact_apply_matches_the_per_entry_reference(case):
+    """Same terms, values and key order on every default case, on both
+    spaces and at every degree, for a random form, a form carrying one
+    polynomial (up to sign) on every label, and T G: the T table applied
+    to it is T o T, zero for odd ell, so every sum it makes cancels."""
+    spec = spec_for(*case[:3], case[3])
+    rng = random.Random("-".join(map(str, case)))
+    cancelled = 0
+    for width in [spec.N] + [spec.n] * (spec.n >= spec.ell):
+        for q in range(width + 1):
+            p = random_trigpoly(rng, spec.n, terms=3)
+            probes = [
+                random_trig_form(rng, spec.n, width, q, components=4),
+                Form(spec.n, width, q, {L: p.scale((-1) ** i) for i, L
+                                        in enumerate(labels(width, q))})]
+            if q >= spec.ell:
+                probes.append(apply_T(spec, random_trig_form(
+                    rng, spec.n, width, q - spec.ell, components=3)))
+            for F in probes:
+                for table, out_q, overall in _apply_tables(spec, q, width):
+                    got = ops._apply_table(F, table, out_q, width, overall)
+                    want = _apply_table_per_entry(F, table, out_q, width,
+                                                  overall)
+                    _assert_same_terms_in_order(got, want)
+                    cancelled += bool(F.coeffs) and not got.coeffs
+    assert cancelled or spec.ell % 2 == 0 or spec.N < 2 * spec.ell

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divcurl.trigpoly import COS, SIN, TrigPoly
-from divcurl.randoms import random_trigpoly
+from divcurl.randoms import random_rational, random_trigpoly
 
 
 def test_wave_normalization():
@@ -225,3 +225,121 @@ def test_ring_results_are_canonical(pair, factor):
     ]:
         assert_canonical(got)
         assert list(got.terms.items()) == list(want.terms.items())
+
+
+# ---- fast paths against kept references: product, pairing, random build ----
+
+
+def _canon_reference(freq, phase, coeff):
+    lead = next((f for f in freq if f), 0)
+    if lead == 0:
+        return None if phase == SIN else (freq, COS, coeff)
+    if lead < 0:
+        return (tuple(-f for f in freq), phase,
+                -coeff if phase == SIN else coeff)
+    return freq, phase, coeff
+
+
+def product_reference(f, g):
+    """The product with every product-to-sum term canonicalized on its
+    own, in the order the identities list them."""
+    acc = {}
+
+    def put(freq, phase, coeff):
+        c = _canon_reference(freq, phase, coeff)
+        if c is not None:
+            acc[c[:2]] = acc.get(c[:2], Fraction(0)) + c[2]
+
+    for (u, pu), cu in f.terms.items():
+        for (v, pv), cv in g.terms.items():
+            c = cu * cv / 2
+            plus = tuple(a + b for a, b in zip(u, v))
+            minus = tuple(a - b for a, b in zip(u, v))
+            if pu == COS and pv == COS:
+                put(minus, COS, c)
+                put(plus, COS, c)
+            elif pu == SIN and pv == SIN:
+                put(minus, COS, c)
+                put(plus, COS, -c)
+            elif pu == SIN and pv == COS:
+                put(plus, SIN, c)
+                put(minus, SIN, c)
+            else:
+                put(plus, SIN, c)
+                put(minus, SIN, -c)
+    return TrigPoly(f.n, {k: c for k, c in acc.items() if c})
+
+
+@FIXED
+@given(poly_pairs())
+def test_product_equals_reference_term_for_term(pair):
+    f, g = pair
+    for a, b in ((f, g), (g, f), (f, f), (f, f + g)):
+        got, want = a * b, product_reference(a, b)
+        assert_canonical(got)
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+@st.composite
+def poly_triples(draw):
+    n = draw(st.integers(1, 4))
+    return draw(trigpolys(n)), draw(trigpolys(n)), draw(coefficients)
+
+
+@FIXED
+@given(poly_triples())
+def test_mean_product_equals_mean_of_product(case):
+    f, h, c = case
+    n = f.n
+    const = TrigPoly.const(n, c)
+    for g in (h, f, f + h, f - h, const, f + const, f.scale(c)):
+        for a, b in ((f, g), (g, f)):
+            got = a.mean_product(b)
+            assert type(got) is Fraction
+            assert got == (a * b).mean()
+
+
+def test_mean_product_pairs_only_equal_terms():
+    w = (1, -2)
+    c, s = TrigPoly.wave(2, w, COS, 3), TrigPoly.wave(2, w, SIN, 5)
+    one = TrigPoly.const(2, Fraction(2, 3))
+    assert c.mean_product(s) == s.mean_product(c) == 0       # cos vs sin
+    assert c.mean_product(c) == Fraction(9, 2)               # halved
+    assert s.mean_product(s) == Fraction(25, 2)
+    assert one.mean_product(one) == Fraction(4, 9)           # not halved
+    assert (one + c).mean_product(one + s) == Fraction(4, 9)
+    assert TrigPoly.zero(2).mean_product(c) == 0
+    with pytest.raises(ValueError):
+        c.mean_product(TrigPoly.zero(3))
+
+
+@FIXED
+@given(poly_pairs())
+def test_scale_by_one_and_minus_one(pair):
+    f, _ = pair
+    assert f.scale(1) is f
+    assert f.scale(Fraction(1)) is f
+    assert list(f.scale(-1).terms.items()) == list((-f).terms.items())
+
+
+def random_trigpoly_reference(rng, n, max_freq=2, terms=2):
+    """The wave-and-merge build: one constructor call and one merge per
+    drawn term."""
+    acc = TrigPoly.zero(n)
+    for _ in range(terms):
+        freq = tuple(rng.randint(-max_freq, max_freq) for _ in range(n))
+        phase = rng.choice((COS, SIN))
+        acc = acc + TrigPoly.wave(n, freq, phase, random_rational(rng))
+    return acc
+
+
+@pytest.mark.parametrize("n, max_freq, terms", [
+    (1, 1, 6), (2, 2, 2), (3, 1, 8), (3, 2, 2), (4, 0, 3)])
+def test_random_trigpoly_equals_wave_and_merge_build(n, max_freq, terms):
+    for seed in range(40):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = random_trigpoly(rng, n, max_freq, terms)
+        want = random_trigpoly_reference(ref, n, max_freq, terms)
+        assert_canonical(got)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert rng.getstate() == ref.getstate()

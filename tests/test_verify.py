@@ -1,11 +1,13 @@
 """The exact identity battery: coverage, determinism, report shape."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from divcurl import operators, symbol, verify
 from divcurl.multiindex import Ordering
+from divcurl.trigpoly import TrigPoly
 from divcurl.verify import default_cases, identity_suite, run_verify
 
 # a (3, 2, 2) ordering: T T on 0-forms has the nonzero symbol
@@ -134,3 +136,38 @@ def test_folded_checks_fire_on_corruption(fresh_tables, monkeypatch, module,
     records = identity_suite(operators.spec_for(3, 2, 2), random.Random(0))
     hit = [r for r in records if r.name.startswith(family)]
     assert hit and not any(r.passed for r in hit) and all(r.detail for r in hit)
+
+
+def _pairing_without_half(f, g):
+    """The exact pairing with the 1/2 off the zero frequency dropped."""
+    return sum((c * g.terms[key] for key, c in f.terms.items()
+                if key in g.terms), Fraction(0))
+
+
+def test_adjoint_routes_catch_a_pairing_that_drops_the_half(monkeypatch):
+    """inner_product pairs terms while the wedge route multiplies, so a
+    pairing that weighs every frequency alike fails adjoint_routes.  T
+    kills constants, so both sides of adjointness double alike and only
+    the route check can see it."""
+    monkeypatch.setattr(TrigPoly, "mean_product", _pairing_without_half)
+    for n, k, ell, kind in default_cases()[:6]:
+        records = identity_suite(operators.spec_for(n, k, ell, kind),
+                                 random.Random(0))
+        failed = [r for r in records if not r.passed]
+        assert failed and all(
+            r.name.startswith("adjoint_routes") and "wedge route" in r.detail
+            for r in failed)
+
+
+def test_adjoint_route_check_catches_a_one_entry_sign_flip(fresh_tables,
+                                                           monkeypatch):
+    """One flipped raising-table sign per table makes apply_T_star's exact
+    comparison of its two routes raise, on the hybrid and source space."""
+    real = operators._t_table
+    monkeypatch.setattr(operators, "_t_table",
+                        lambda *key: _flip_first(real(*key)))
+    records = identity_suite(operators.spec_for(3, 2, 2), random.Random(0))
+    for family in ("adjoint_routes", "source_adjointness"):
+        hit = [r for r in records if r.name.startswith(family)]
+        assert hit and all(not r.passed and "adjoint routes disagree"
+                           in r.detail for r in hit)
