@@ -23,6 +23,7 @@ Conventions fixed here and used throughout:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +53,12 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _label_set(N: int, q: int) -> frozenset:
+    """The valid labels of a q-form over N slots, for membership tests."""
+    return frozenset(labels(N, q))
+
+
 class Form:
     """A q-form over N slots; P is the grid resolution of a grid form,
     read from its coefficients and needed only when it has none."""
@@ -63,7 +70,7 @@ class Form:
             raise ValueError("need 1 <= n <= N")
         if not (0 <= q <= N):
             raise ValueError(f"degree {q} out of range 0..{N}")
-        valid = set(labels(N, q))
+        valid = _label_set(N, q)
         clean = {}
         for lab, c in coeffs.items():
             lab = tuple(lab)
@@ -113,7 +120,7 @@ class Form:
         lab = tuple(lab)
         if lab in self.coeffs:
             return self.coeffs[lab]
-        if lab not in set(labels(self.N, self.q)):
+        if lab not in _label_set(self.N, self.q):
             raise KeyError(lab)
         return self._zero_coeff()
 
@@ -184,6 +191,18 @@ class Form:
 
 def zero_form(n, N, q, backend="trig", P=None) -> Form:
     return Form(n, N, q, {}, backend, P)
+
+
+def _with_spectra(F: Form) -> Form:
+    """F for a call that transforms it more than once: each grid
+    coefficient becomes a view sharing its samples and holding its half
+    spectrum (one rfftn per label).  F itself keeps no spectrum, so the
+    caller drops the view when done.  Exact forms come back unchanged."""
+    if F.backend != "grid":
+        return F
+    return Form(F.n, F.N, F.q,
+                {lab: c._with_spectrum() for lab, c in F.coeffs.items()},
+                "grid", F.P)
 
 
 # ---- calculus ---------------------------------------------------------------
@@ -377,9 +396,18 @@ def pullback_linear(F: Form, A, center=None) -> Form:
     Coefficients are composed with the map and the label components mix
     through minors of A.  On the grid backend the composed coefficients
     are evaluated by direct Fourier summation of the band-limited
-    interpolant at the mapped nodes; on the exact backend A must be a
-    signed permutation so frequencies stay integral.
+    interpolant at the mapped nodes, through one phase table per call
+    that every label reads (_grid_phases); on the exact backend A must be
+    a signed permutation so frequencies stay integral.
     """
+    return _pullback(F, *_pullback_plan(F, A, center))
+
+
+def _pullback_plan(F: Form, A, center):
+    """Check that F can be pulled back by x -> A(x - c) + c; returns A as a
+    float array and, for a grid form, the phase table of the mapped nodes
+    (None for an exact form).  Every form of F's kind (n, N == n,
+    backend, P) can then be pulled back through _pullback with them."""
     if F.N != F.n:
         raise ValueError("pullback is defined for forms with N == n")
     n = F.n
@@ -389,26 +417,47 @@ def pullback_linear(F: Form, A, center=None) -> Form:
     if center is None:
         center = np.zeros(n)
     center = np.asarray(center, dtype=float)
+    if F.backend == "grid":
+        return A, _grid_phases(n, F.P, A, center)
+    if not _is_signed_permutation(A):
+        raise ValueError(
+            "exact pullback needs a signed permutation matrix; "
+            "sample to a grid for general rotations"
+        )
+    if np.any(center):
+        # recentring shifts phases, which leaves the rational setting
+        raise ValueError("exact pullback supports center=0 only")
+    return A, None
 
+
+def _grid_phases(n: int, P: int, A, center) -> list:
+    """Per axis, the (P^n, P) table exp(i y_axis k) at the mapped grid
+    nodes y = A(x - c) + c, over k in fftfreq order.
+
+    The columns k = 0..P/2-1 and the Nyquist column -P/2 are computed;
+    each column -k is the conjugate of column k."""
+    pts = grid_points(n, P).reshape(-1, n)
+    mapped = (pts - center) @ A.T + center
+    ks = np.fft.fftfreq(P, d=1.0 / P)
+    h = P // 2
+    phases = []
+    for axis in range(n):
+        table = np.empty((len(mapped), P), dtype=complex)
+        table[:, :h + 1] = np.exp(1j * np.outer(mapped[:, axis], ks[:h + 1]))
+        table[:, h + 1:] = np.conj(table[:, h - 1:0:-1])
+        phases.append(table)
+    return phases
+
+
+def _pullback(F: Form, A, phases) -> Form:
+    """pullback_linear for A and phases from _pullback_plan."""
+    n = F.n
     if F.backend == "trig":
-        if not _is_signed_permutation(A):
-            raise ValueError(
-                "exact pullback needs a signed permutation matrix; "
-                "sample to a grid for general rotations"
-            )
-        if np.any(center):
-            # recentring shifts phases, which leaves the rational setting
-            raise ValueError("exact pullback supports center=0 only")
         A_int = [[int(round(A[i, j])) for j in range(n)] for i in range(n)]
         composed = {lab: _pullback_trig_coeff(c, A_int)
                     for lab, c in F.coeffs.items()}
     else:
         P = F.grid_P()
-        pts = grid_points(n, P).reshape(-1, n)
-        mapped = (pts - center) @ A.T + center
-        ks = np.fft.fftfreq(P, d=1.0 / P)
-        phases = [np.exp(1j * np.outer(mapped[:, axis], ks))
-                  for axis in range(n)]
         composed = {
             lab: GridField(n, P, _fourier_eval(c, phases).reshape((P,) * n))
             for lab, c in F.coeffs.items()}

@@ -14,6 +14,10 @@ spectrum (numpy's rfftn layout: the last axis runs over frequencies
 * a field built from samples does not keep its forward transform.
   Inputs are often held for a whole computation and transformed only a
   few times; keeping their spectra would double the memory they hold.
+  A call that transforms the same input more than once works on a
+  call-local view instead (_with_spectrum): a second field that shares
+  the input's frozen samples and holds their half spectrum, computed
+  once and dropped with the view.  The input itself still keeps none.
 
 Derivatives are Fourier multipliers on the half spectrum.  +, - and
 scale work on spectra when every operand has one and at least one lacks
@@ -144,6 +148,18 @@ class GridField:
         if self._spectrum is not None:
             return self._spectrum
         return np.fft.rfftn(self._samples)
+
+    def _with_spectrum(self) -> "GridField":
+        """This field as a view holding both its samples (the same frozen
+        array) and its half spectrum, at one rfftn when it has none; self
+        is not changed, so the spectrum lives only as long as the view."""
+        if self._spectrum is not None:
+            return self
+        view = GridField.__new__(GridField)
+        view.n, view.P = self.n, self.P
+        view._samples = self._samples
+        view._spectrum = _frozen(np.fft.rfftn(self._samples))
+        return view
 
     def _like(self, samples):
         return GridField(self.n, self.P, samples)

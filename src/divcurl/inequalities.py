@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .forms import (
     Form,
+    _with_spectra,
     grad_lp_norm,
     inner_product,
     lp_norm,
@@ -272,6 +273,11 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
     residuals ||T Z - F|| and ||T* Z - G||, which vanish exactly when the
     sampled data are exactly closed/coclosed on the grid and otherwise
     measure their sampling defect.
+
+    Each datum is transformed once per label: its closedness check and
+    its right-hand side term read one call-local view holding its spectra
+    (forms._with_spectra), dropped before the solve.  The data keep no
+    spectrum, and the residuals subtract their samples.
     """
     if spec.ell != 1:
         raise ValueError("spectral inversion implemented for ell = 1")
@@ -294,15 +300,17 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
             raise ValueError(f"{name} must be a hybrid (q{step:+d})-form")
         scale = max(lp_norm(X, 2), 1e-30)
         key = f"{co}closedness_{name}"
-        info[key] = lp_norm(_apply(spec, X, adjoint=adjoint), 2) / scale
+        spectral = _with_spectra(X)
+        info[key] = lp_norm(_apply(spec, spectral, adjoint=adjoint), 2) / scale
         if info[key] > closed_tol:
             raise ValueError(f"{name} is not {co}closed to the requested tolerance")
         info[f"mean_{name}"] = max((abs(float(c.mean())) for c in X.coeffs.values()),
                                    default=0.0)
         if info[f"mean_{name}"] > closed_tol * scale:
             raise ValueError(f"{name} must be mean free")
-        piece = _apply(spec, X, adjoint=not adjoint)
+        piece = _apply(spec, spectral, adjoint=not adjoint)
         rhs = piece if rhs is None else rhs + piece
+    del spectral
 
     # modes where sigma vanishes (the zero mode, and Nyquist modes that
     # every multiplier drops) are mapped to 0
@@ -318,6 +326,7 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
         coeffs[lab] = GridField.from_spectrum(n, P, out)
     Z = Form(n, N, q, coeffs, "grid", P)
 
+    # X holds samples only, so the subtraction runs on samples
     for X, _, adjoint in data:
         info["residual_Tstar" if adjoint else "residual_T"] = lp_norm(
             _apply(spec, Z, adjoint=adjoint) - X, 2)

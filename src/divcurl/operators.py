@@ -79,7 +79,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import Form, lp_norm, pullback_linear, hodge_star, zero_form
+from .forms import (
+    Form,
+    _pullback,
+    _pullback_plan,
+    _with_spectra,
+    hodge_star,
+    lp_norm,
+    zero_form,
+)
 from .gridfield import GridField, _deriv_multiplier
 from .increments import binom
 from .multiindex import (
@@ -407,17 +415,21 @@ def tt_single_orientation(spec: OperatorSpec, F: Form) -> Form:
 
 def box_apply(spec: OperatorSpec, H: Form) -> Form:
     """Hodge Laplacian T T* + T* T on H's space; a part whose intermediate
-    degree does not exist contributes zero."""
+    degree does not exist contributes zero.
+
+    A grid H is transformed once per label: T* H and T H both read a
+    call-local view holding its spectra (forms._with_spectra), and H
+    itself keeps none."""
     _check_space(spec, H)
-    parts = []
-    if H.q >= spec.ell:
-        down = _apply(spec, H, adjoint=True)
-        parts.append(_apply(spec, down, adjoint=False))
-    if H.q + spec.ell <= H.N:
-        up = _apply(spec, H, adjoint=False)
-        parts.append(_apply(spec, up, adjoint=True))
-    if not parts:
+    down, up = H.q >= spec.ell, H.q + spec.ell <= H.N
+    if not (down or up):
         return zero_form(H.n, H.N, H.q, H.backend, H.P)
+    H = _with_spectra(H)
+    parts = []
+    if down:
+        parts.append(_apply(spec, _apply(spec, H, adjoint=True), adjoint=False))
+    if up:
+        parts.append(_apply(spec, _apply(spec, H, adjoint=False), adjoint=True))
     return sum(parts[1:], parts[0])
 
 
@@ -695,8 +707,11 @@ def invariance_defect(spec: OperatorSpec, A, F: Form) -> float:
         raise ValueError("expected an orthogonal matrix")
     _check_space(spec, F)
     center = np.full(spec.n, np.pi) if F.backend == "grid" else None
-    left = _apply(spec, pullback_linear(F, A, center), adjoint=False)
-    right = pullback_linear(_apply(spec, F, adjoint=False), A, center)
+    # F and T F are pulled back through the same mapped nodes: one phase
+    # table serves both
+    A, phases = _pullback_plan(F, A, center)
+    left = _apply(spec, _pullback(F, A, phases), adjoint=False)
+    right = _pullback(_apply(spec, F, adjoint=False), A, phases)
     diff = left - right
     if diff.backend == "trig":
         from .forms import form_max_abs

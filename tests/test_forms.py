@@ -49,6 +49,25 @@ def test_constructor_validation():
         Form(2, 3, 1, {(1,): g32, (2,): g16}, backend="grid")  # mixed P
 
 
+def test_label_errors_read_one_cached_label_set(monkeypatch):
+    """Form and Form.coeff test labels against one frozenset per (N, q),
+    built once, with the messages the per-call set gave."""
+    from divcurl import forms
+
+    f = cosx1()
+    Form(2, 4, 2, {(1, 2): f}, backend="trig")
+    # a second build of the set would call labels again
+    monkeypatch.setattr(forms, "labels", None)
+    for bad in [(4, 5), (2, 1), (1,)]:
+        with pytest.raises(ValueError,
+                           match=rf"label \({bad[0]}, ?.*\) invalid for degree 2 over N=4"):
+            Form(2, 4, 2, {bad: f}, backend="trig")
+    F = Form(2, 4, 2, {(1, 2): f}, backend="trig")
+    assert F.coeff((3, 4)).is_zero()
+    with pytest.raises(KeyError):
+        F.coeff((2, 1))
+
+
 def test_hodge_star_classical_three_space():
     f = cosx1()
     F1 = Form(2, 3, 1, {(1,): f}, backend="trig")
