@@ -3,11 +3,10 @@ complexes on the torus."""
 
 __version__ = "0.1.0"
 
-from .increments import IncrementSolution, admissible_increments, binom, increment_scan
+from .increments import IncrementSolution, admissible_increments, increment_scan
 from .multiindex import (
     Ordering,
     complement,
-    epsilon,
     labels,
     make_ordering,
     multiindices,

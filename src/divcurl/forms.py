@@ -22,6 +22,7 @@ Conventions fixed here and used throughout:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -129,27 +130,27 @@ class Form:
             return TrigPoly.zero(self.n)
         return GridField.zero(self.n, self.P)
 
-    def grid_P(self):
-        if self.backend != "grid":
-            raise ValueError("not a grid-backed form")
-        return self.P
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs.values())
 
     def __add__(self, other):
+        return self._merge(other, operator.add, lambda c: c)
+
+    def __sub__(self, other):
+        return self._merge(other, operator.sub, operator.neg)
+
+    def _merge(self, other, both, alone):
+        """Label by label, both(mine, theirs) where both forms hold the
+        label and alone(theirs) where only other does."""
         self._check_shape(other)
         out = dict(self.coeffs)
         for lab, c in other.coeffs.items():
-            out[lab] = out[lab] + c if lab in out else c
+            out[lab] = both(out[lab], c) if lab in out else alone(c)
         # an empty operand adopts the other's backend and P: the one with
         # coefficients, else the one that carries a grid resolution
         base = (self if self.coeffs or (not other.coeffs and self.P is not None)
                 else other)
         return Form(self.n, self.N, self.q, out, base.backend, base.P)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __neg__(self):
         return Form(self.n, self.N, self.q,
@@ -262,10 +263,6 @@ def wedge(F: Form, G: Form) -> Form:
     return Form(F.n, F.N, qr, out, F.backend, F.P)
 
 
-def _integral(c):
-    return c.mean()
-
-
 def inner_product(F: Form, G: Form):
     """Label-wise pairing sum_I integral(F_I * G_I); exact on TrigPoly,
     where each label pairs its terms (TrigPoly.mean_product) instead of
@@ -275,7 +272,7 @@ def inner_product(F: Form, G: Form):
     total = Fraction(0) if exact else 0.0
     for lab in set(F.coeffs) & set(G.coeffs):
         f, g = F.coeffs[lab], G.coeffs[lab]
-        total += f.mean_product(g) if exact else _integral(f * g)
+        total += f.mean_product(g) if exact else (f * g).mean()
     return total
 
 
@@ -289,8 +286,7 @@ def inner_product_wedge(F: Form, G: Form):
     F._check_shape(G)
     top = wedge(F, hodge_star(G))
     scalar = hodge_star(top)  # 0-form carrying the density
-    c = scalar.coeff(())
-    return _integral(c)
+    return scalar.coeff(()).mean()
 
 
 # ---- norms -------------------------------------------------------------------
@@ -457,7 +453,7 @@ def _pullback(F: Form, A, phases) -> Form:
         composed = {lab: _pullback_trig_coeff(c, A_int)
                     for lab, c in F.coeffs.items()}
     else:
-        P = F.grid_P()
+        P = F.P
         composed = {
             lab: GridField(n, P, _fourier_eval(c, phases).reshape((P,) * n))
             for lab, c in F.coeffs.items()}

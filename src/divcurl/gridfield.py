@@ -19,10 +19,12 @@ spectrum (numpy's rfftn layout: the last axis runs over frequencies
   the input's frozen samples and holds their half spectrum, computed
   once and dropped with the view.  The input itself still keeps none.
 
-Derivatives are Fourier multipliers on the half spectrum.  +, - and
-scale work on spectra when every operand has one and at least one lacks
-samples, and on samples otherwise.  Pointwise products, the mean (the
-normalized integral) and norms read samples.  Arrays are marked
+Derivatives are Fourier multipliers on the half spectrum.  +, negation
+and scale work on spectra when every operand has one and at least one
+lacks samples, and on samples otherwise.  a - b takes the domain of
+a + (-b): spectra when b holds only a spectrum and a holds one, samples
+otherwise (so b holding both means samples).  Pointwise products, the
+mean (the normalized integral) and norms read samples.  Arrays are marked
 read-only; all operations return new fields.
 """
 
@@ -92,8 +94,8 @@ def _deriv_multiplier(n: int, P: int, alpha: tuple) -> np.ndarray:
 
 
 def _spectral(*fields) -> bool:
-    """Whether +, - or scale on fields runs on their half spectra: each
-    carries one and at least one would need an inverse transform."""
+    """Whether +, negation or scale on fields runs on their half spectra:
+    each carries one and at least one would need an inverse transform."""
     return (all(f._spectrum is not None for f in fields)
             and any(f._samples is None for f in fields))
 
@@ -129,10 +131,6 @@ class GridField:
     @classmethod
     def zero(cls, n, P):
         return cls(n, P, np.zeros((P,) * n))
-
-    @classmethod
-    def const(cls, n, P, value):
-        return cls(n, P, np.full((P,) * n, float(value)))
 
     @property
     def samples(self) -> np.ndarray:
@@ -183,7 +181,9 @@ class GridField:
         if not isinstance(other, GridField):
             return NotImplemented
         self._check_compat(other)
-        if _spectral(self, other):
+        # the domain self + (-other) would take: -other is a bare spectrum
+        # only when other is
+        if other._samples is None and self._spectrum is not None:
             return self._like_spectrum(self._spectrum - other._spectrum)
         return self._like(self.samples - other.samples)
 
@@ -216,11 +216,6 @@ class GridField:
             return self
         mult = _deriv_multiplier(self.n, self.P, alpha)
         return self._like_spectrum(self.spectrum() * mult)
-
-    def diff(self, axis: int) -> "GridField":
-        alpha = [0] * self.n
-        alpha[axis] = 1
-        return self.diff_alpha(alpha)
 
     def mean(self) -> float:
         return float(self.samples.mean())

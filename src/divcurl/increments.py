@@ -12,14 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-__all__ = ["binom", "IncrementSolution", "admissible_increments", "increment_scan"]
-
-
-def binom(a: int, b: int) -> int:
-    """C(a, b) with exact integers; 0 when b > a, error on negatives."""
-    if a < 0 or b < 0:
-        raise ValueError("binomial arguments must be non-negative")
-    return comb(a, b)
+__all__ = ["IncrementSolution", "admissible_increments", "increment_scan"]
 
 
 @dataclass(frozen=True)
@@ -53,7 +46,7 @@ def increment_scan(n: int, k: int):
         raise ValueError("need n >= 2")
     if k < 1:
         raise ValueError("need k >= 1")
-    m = binom(n - 1 + k, k)
+    m = comb(n - 1 + k, k)
     admissible, rejected = [], []
     for ell in range(1, k + 1):
         N = _solve_binomial(m, ell)

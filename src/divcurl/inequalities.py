@@ -289,7 +289,7 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
         raise ValueError("need at least one datum")
     if data[0][0].backend != "grid":
         raise ValueError("hodge_solve works on the grid backend")
-    P = data[0][0].grid_P()
+    P = data[0][0].P
     n, N = spec.n, spec.N
 
     info = {}
@@ -493,7 +493,7 @@ def _check_config(config) -> None:
             raise ValueError(f"probe {i}: entry must be a JSON object")
         kind = entry.get("kind")
         if not isinstance(kind, str) or kind not in _PROBES:
-            raise ValueError(f"unknown probe kind {kind!r}")
+            raise ValueError(f"probe {i}: unknown probe kind {kind!r}")
         missing = [key for key in _PROBES[kind][1] if key not in entry]
         if missing:
             raise ValueError(f"probe {i} ({kind}): missing required "
@@ -510,6 +510,14 @@ def _check_config(config) -> None:
                         f"probe {i} ({kind}): bump width {width!r} (a "
                         "sigma_range end times a lams entry) does not give "
                         f"a finite, nonzero bump on the P = {P} grid")
+        try:
+            if kind == "classical_gn":
+                spec_for(entry["n"], 1, 1)
+            elif "ell" in _PROBES[kind][1]:
+                spec_for(entry["n"], entry["k"], entry["ell"],
+                         kind=entry.get("ordering", "lexicographic"))
+        except ValueError as exc:
+            raise ValueError(f"probe {i} ({kind}): {exc}") from None
 
 
 def run_suite(config: dict) -> dict:

@@ -7,8 +7,10 @@ Everything downstream is built on two finite index families:
 * labels: strictly increasing tuples over {1, ..., N}, enumerated
   lexicographically, used to name components of differential forms.
 
-The permutation sign ``epsilon`` and the orderings that pair multi-indices
-with labels are defined here as well.  All arithmetic is exact integer
+The permutation sign ``perm_sign_between`` and the orderings that pair
+multi-indices with labels are defined here as well.  The generalized
+Kronecker symbol epsilon^{a I}_L of the operator actions is
+``perm_sign_between(a + I, L)``.  All arithmetic is exact integer
 arithmetic.
 """
 
@@ -21,16 +23,11 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-MultiIndex = tuple
-Label = tuple
-
 __all__ = [
     "multiindices",
     "labels",
     "perm_sign_between",
-    "epsilon",
     "embed_multiindex",
-    "restrict_multiindex",
     "complement",
     "Ordering",
     "make_ordering",
@@ -105,30 +102,12 @@ def perm_sign_between(src, dst) -> int:
     return sign
 
 
-def epsilon(prefix, body, target) -> int:
-    """Sign of the permutation carrying the concatenation prefix+body to target.
-
-    Zero when the concatenation has a repeat or its content differs from
-    target.  This is the generalized Kronecker symbol used in all the
-    operator actions; ``epsilon((2,), (1,), (1, 2)) == -1``.
-    """
-    return perm_sign_between(tuple(prefix) + tuple(body), target)
-
-
 def embed_multiindex(alpha, N: int) -> tuple:
     """Pad a multi-index on n variables with zeros up to length N."""
     alpha = tuple(alpha)
     if len(alpha) > N:
         raise ValueError("multi-index longer than target dimension")
     return alpha + (0,) * (N - len(alpha))
-
-
-def restrict_multiindex(alpha, n: int) -> tuple:
-    """Drop trailing slots of an embedded multi-index; they must be zero."""
-    alpha = tuple(alpha)
-    if any(alpha[n:]):
-        raise ValueError("multi-index not supported in the first n slots")
-    return alpha[:n]
 
 
 def complement(label, N: int):
@@ -154,7 +133,7 @@ class Ordering:
     to exist; the constructor enforces this and bijectivity.
     """
 
-    __slots__ = ("n", "k", "ell", "N", "pairs", "kind", "_fwd", "_bwd")
+    __slots__ = ("n", "k", "ell", "N", "pairs", "kind", "_fwd")
 
     def __init__(self, n, k, ell, N, pairs, kind="custom"):
         self.n = n
@@ -184,7 +163,6 @@ class Ordering:
             (embed_multiindex(a, N), fwd[embed_multiindex(a, N)]) for a in source
         )
         self._fwd = dict(self.pairs)
-        self._bwd = {lab: a for a, lab in self.pairs}
 
     def label_of(self, alpha) -> tuple:
         """Label assigned to a multi-index (length n or embedded length N)."""
@@ -192,14 +170,6 @@ class Ordering:
         if len(alpha) == self.n:
             alpha = embed_multiindex(alpha, self.N)
         return self._fwd[alpha]
-
-    def alpha_of(self, label) -> tuple:
-        """Embedded multi-index assigned to a label."""
-        return self._bwd[tuple(label)]
-
-    def source_alpha_of(self, label) -> tuple:
-        """Length-n multi-index assigned to a label."""
-        return restrict_multiindex(self._bwd[tuple(label)], self.n)
 
     def __eq__(self, other):
         return isinstance(other, Ordering) and self.pairs == other.pairs and (

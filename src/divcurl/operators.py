@@ -89,7 +89,6 @@ from .forms import (
     zero_form,
 )
 from .gridfield import GridField, _deriv_multiplier
-from .increments import binom
 from .multiindex import (
     Ordering,
     labels,
@@ -133,17 +132,14 @@ class OperatorSpec:
         n, k, ell, N = self.n, self.k, self.ell, self.N
         if n < 2 or k < 1 or not (1 <= ell <= k):
             raise ValueError("need n >= 2, k >= 1 and 1 <= ell <= k")
-        m = binom(n - 1 + k, k)
-        if binom(N, ell) != m:
+        m = math.comb(n - 1 + k, k)
+        if math.comb(N, ell) != m:
             raise ValueError(f"C({N},{ell}) != C({n - 1 + k},{k}); not admissible")
         if N < n - 1 + ell:
             raise ValueError("dimension constraint N >= n - 1 + ell violated")
         o = self.ordering
         if (o.n, o.k, o.ell, o.N) != (n, k, ell, N):
             raise ValueError("ordering parameters do not match the spec")
-
-    def digest(self) -> str:
-        return self.ordering.digest()
 
     def describe(self) -> dict:
         return {
@@ -152,7 +148,7 @@ class OperatorSpec:
             "ell": self.ell,
             "N": self.N,
             "ordering_kind": self.ordering.kind,
-            "ordering_digest": self.digest(),
+            "ordering_digest": self.ordering.digest(),
         }
 
 
@@ -277,7 +273,7 @@ def _apply_table(F: Form, entries, out_q: int, width: int, overall=1) -> Form:
 
 def _apply_table_grid(F: Form, entries, out_q, width, overall) -> Form:
     n = F.n
-    P = F.grid_P()
+    P = F.P
     spectra = {lab: c.spectrum() for lab, c in F.coeffs.items()}
     acc = {}
     for I, alpha, OUT, sign in entries:

@@ -125,7 +125,7 @@ def test_criterion_2_exact_identity_suite():
                 records = identity_suite(spec, rng, deep=True)
                 bad = next((r for r in records if not r.passed), None)
                 assert bad is None, \
-                    f"{bad.case} {spec.digest()}: {bad.name}: {bad.detail}"
+                    f"{bad.case} {spec.ordering.digest()}: {bad.name}: {bad.detail}"
                 total_records += len(records)
                 total_specs += 1
         box[0] = f"{total_records} exact checks over {total_specs} " \

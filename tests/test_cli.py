@@ -323,6 +323,21 @@ def test_version_flag(capsys):
     ({"probes": [{"kind": "gn", "n": 2, "k": 1, "ell": 1, "q": 0,
                   "sigma_range": [1e-300, 1e-300]}]},
      "probe 0 (gn): bump width 1e-300 "),
+    # a probe's spec is resolved before any probe runs
+    ({"probes": [{"kind": "classical_gn", "n": 2},
+                 {"kind": "gn", "n": 2, "k": 1, "ell": 1, "q": 0,
+                  "ordering": "bogus", "sigma_range": [0.25, 0.4]}]},
+     "probe 1 (gn): unknown ordering kind 'bogus'"),
+    ({"probes": [{"kind": "hodge", "n": 2, "k": 2, "ell": 2, "q": 0,
+                  "ordering": "diagonal"}]},
+     "probe 0 (hodge): diagonal ordering is defined for ell=1 only"),
+    ({"probes": [{"kind": "gn_dilation", "n": 2, "k": 2, "ell": 3, "q": 0,
+                  "sigma_range": [0.25, 0.4], "lams": [1.0]}]},
+     "probe 0 (gn_dilation): ell=3 is not an admissible increment"),
+    ({"probes": [{"kind": "classical_gn", "n": 1}]},
+     "probe 0 (classical_gn): need n >= 2"),
+    ({"probes": [{"kind": "classical_gn", "n": 2}, {"kind": "nope"}]},
+     "probe 1: unknown probe kind 'nope'"),
 ])
 def test_ineq_malformed_config_is_a_one_line_error(capsys, tmp_path, config,
                                                    message):

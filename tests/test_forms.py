@@ -25,6 +25,7 @@ from divcurl.forms import (
 )
 from divcurl.gridfield import GridField, grid_points
 from divcurl.multiindex import labels
+from divcurl.operators import invariance_defect, spec_for
 from divcurl.randoms import random_trig_form
 from divcurl.trigpoly import TrigPoly
 
@@ -187,17 +188,17 @@ def test_partial_and_zero_form():
     # a derivative slot beyond the base dimension annihilates hybrid forms
     assert partial(F, (0, 0, 1)).is_zero()
     z = zero_form(2, 3, 2, backend="grid", P=16)
-    assert z.is_zero() and z.grid_P() == 16
+    assert z.is_zero() and z.P == 16
 
 
 def test_grid_form_carries_its_resolution():
     z = zero_form(2, 3, 1, backend="grid", P=16)
-    assert z.coeffs == {} and z.grid_P() == 16
+    assert z.coeffs == {} and z.P == 16
     assert z.coeff((2,)).P == 16
     assert zero_form(2, 3, 1).P is None
     field = GridField.zero(2, 32)
-    assert Form(2, 3, 1, {(1,): field}, "grid").grid_P() == 32
-    assert Form(2, 3, 1, {(1,): field}, "grid", 32).grid_P() == 32
+    assert Form(2, 3, 1, {(1,): field}, "grid").P == 32
+    assert Form(2, 3, 1, {(1,): field}, "grid", 32).P == 32
     with pytest.raises(ValueError, match="disagrees"):
         Form(2, 3, 1, {(1,): field}, "grid", 16)
     with pytest.raises(ValueError, match="needs P"):
@@ -219,7 +220,7 @@ def test_grid_zero_results_keep_their_resolution():
     D = partial(F, (0, 0, 1))
     W = wedge(G, G)  # degree 4 > N = 3
     for Z in (D, W, hodge_star(W), -D, D.scale(2), D + D, W - W):
-        assert Z.backend == "grid" and Z.coeffs == {} and Z.grid_P() == 16
+        assert Z.backend == "grid" and Z.coeffs == {} and Z.P == 16
         assert lp_norm(Z, 2) == 0.0 and grad_lp_norm(Z, 2) == 0.0
         assert sobolev_norm(Z, 1, 2) == 0.0
     assert W.q == 3 and hodge_star(W).q == 0
@@ -232,12 +233,12 @@ def test_empty_exact_form_adds_to_a_grid_form_in_either_order():
     G = sample_form(random_trig_form(rng, 2, 3, 1), 16)
     Z = zero_form(2, 3, 1)
     for S, sign in ((Z + G, 1), (G + Z, 1), (Z - G, -1), (G - Z, 1)):
-        assert S.backend == "grid" and S.grid_P() == 16
+        assert S.backend == "grid" and S.P == 16
         assert S.coeffs.keys() == G.coeffs.keys()
         assert form_max_abs(S - G.scale(sign)) == 0.0
     E = zero_form(2, 3, 1, backend="grid", P=16)
     for S in (Z + E, E + Z, Z - E, E - Z):
-        assert S.backend == "grid" and S.grid_P() == 16 and S.coeffs == {}
+        assert S.backend == "grid" and S.P == 16 and S.coeffs == {}
     assert (Z + Z).backend == "trig" and (Z + Z).P is None
 
 
@@ -295,8 +296,28 @@ def test_pullback_grid_rotation_matches_analytic():
 def test_pullback_exact_requires_signed_permutation():
     A = np.array([[0.6, -0.8], [0.8, 0.6]])
     F = Form(2, 2, 0, {(): cosx1()}, backend="trig")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs a signed permutation matrix"):
         pullback_linear(F, A)
+
+
+_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: invariance_defect(spec_for(2, 1, 1), [[1.0, 1.0], [0.0, 1.0]],
+                               Form(2, 2, 0, {(): cosx1()})),
+     "expected an orthogonal matrix"),
+    (lambda: pullback_linear(Form(2, 2, 0, {(): cosx1()}), np.eye(3)),
+     "matrix shape mismatch"),
+    (lambda: pullback_linear(Form(2, 2, 0, {(): cosx1()}), _SWAP,
+                             center=[1.0, 0.0]),
+     "exact pullback supports center=0 only"),
+    (lambda: pullback_linear(Form(2, 3, 1, {(1,): cosx1()}), _SWAP),
+     "pullback is defined for forms with N == n"),
+], ids=["orthogonal", "shape", "center", "hybrid"])
+def test_pullback_and_rotation_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_sampling_commutes_with_arithmetic():

@@ -5,9 +5,11 @@ call-local view (forms._with_spectra); invariance_defect builds one
 phase table for both of its pullbacks, half of it by conjugation
 (forms._grid_phases).  Each is compared by tobytes() with a reference
 built the plain way: _apply on the sample-only inputs, and the direct
-np.exp phase table.
+np.exp phase table.  Form subtraction works label by label and negates
+nothing; GridField a - b gives the bits of a + (-b).
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -220,3 +222,41 @@ def test_with_spectra_view_shares_samples_and_leaves_the_input_alone(rfftn_calls
                                         view.coeffs.values()))
     exact = random_trig_form(random.Random(3), SPEC.n, SPEC.N, 1)
     assert _with_spectra(exact) is exact
+
+
+def _field(state, seed, P=16):
+    """A field holding its samples, its spectrum, or both."""
+    x = np.random.default_rng(seed).normal(size=(P, P))
+    if state == "samples":
+        return GridField(2, P, x)
+    field = GridField.from_spectrum(2, P, np.fft.rfftn(x))
+    if state == "both":
+        field.samples
+    return field
+
+
+def test_hodge_solve_negates_nothing_and_minus_is_plus_negative(monkeypatch):
+    """The residuals subtract per label, without a negated copy of each
+    datum; a - b takes the domain of a + (-b) and gives its bits."""
+    negated = []
+    original = GridField.__neg__
+
+    def counted(self):
+        negated.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GridField, "__neg__", counted)
+    for q, with_F, with_G in [(0, True, False), (1, True, True),
+                              (2, True, True)]:
+        F, G = _data(q, q, 16, with_F, with_G)
+        hodge_solve(SPEC, q, F=F, G=G)
+    assert negated == []
+    states = ("samples", "spectrum", "both")
+    for left, right in itertools.product(states, repeat=2):
+        got = _field(left, 1) - _field(right, 2)
+        ref = _field(left, 1) + (-_field(right, 2))
+        assert (got._samples is None) == (ref._samples is None), (left, right)
+        assert (got._spectrum is None) == (ref._spectrum is None), (left, right)
+        if got._spectrum is not None:
+            assert got._spectrum.tobytes() == ref._spectrum.tobytes()
+        assert got.samples.tobytes() == ref.samples.tobytes(), (left, right)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from divcurl.increments import admissible_increments, binom, increment_scan
+from divcurl.increments import admissible_increments, increment_scan
 
 
 def brute_admissible(n, k, n_cap=400):
@@ -20,15 +20,6 @@ def brute_admissible(n, k, n_cap=400):
             if math.comb(N, ell) > m:
                 break
     return out
-
-
-def test_binom_against_math_comb():
-    for a in range(0, 25):
-        for b in range(0, a + 1):
-            assert binom(a, b) == math.comb(a, b)
-    assert binom(5, 7) == 0
-    with pytest.raises(ValueError):
-        binom(5, -1)
 
 
 def test_reference_case_n2_k9():

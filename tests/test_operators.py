@@ -71,7 +71,8 @@ def test_spec_validation():
         spec_for(2, 2, 2, "diagonal")  # diagonal needs ell = 1
     s = spec_for(2, 2, 1, "diagonal")
     assert (s.n, s.k, s.ell, s.N) == (2, 2, 1, 3)
-    assert len(s.digest()) == 16
+    assert s.describe()["ordering_digest"] == s.ordering.digest()
+    assert len(s.ordering.digest()) == 16
 
 
 def test_k1_action_is_exterior_derivative():
@@ -414,7 +415,7 @@ def test_operators_on_empty_grid_forms_keep_the_resolution():
                 box_apply(spec, W)]
         for Z in outs:
             assert Z.backend == "grid" and Z.coeffs == {}
-            assert Z.grid_P() == P and lp_norm(Z, 2) == 0.0
+            assert Z.P == P and lp_norm(Z, 2) == 0.0
     exact = [apply_T(spec, partial(F, (0, 0, 1))),
              apply_T_star(spec, wedge(G, G))]
     assert all(Z.is_zero() and Z.P is None for Z in exact)

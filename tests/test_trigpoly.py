@@ -200,7 +200,7 @@ def leibniz_cases(draw):
 @given(leibniz_cases())
 def test_leibniz_rule(case):
     """d^alpha (f g) = sum over beta <= alpha of
-    binom(alpha, beta) d^beta f d^(alpha - beta) g."""
+    C(alpha, beta) d^beta f d^(alpha - beta) g."""
     f, g, alpha = case
     rhs = TrigPoly.zero(f.n)
     for beta in itertools.product(*(range(a + 1) for a in alpha)):
