@@ -23,12 +23,15 @@ import argparse
 import contextlib
 import json
 import sys
+from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
 from .increments import increment_scan
+from .inequalities import default_config, run_suite
 from .operators import box_coeff_tensor, spec_for
 from .symbol import box_symbol, ellipticity_scan
+from .verify import run_verify
 
 
 _BLOCK = 4096  # Laplacian rows per written chunk
@@ -123,8 +126,6 @@ def _cmd_symbol(args):
     spec = spec_for(args.n, args.k, args.ell, kind=args.ordering)
     q = args.q if args.q is not None else 0
     if args.xi is not None:
-        from fractions import Fraction
-
         try:
             xi = tuple(Fraction(part) for part in args.xi.split(","))
         except ZeroDivisionError:
@@ -191,8 +192,6 @@ _SCOPES = {
 
 
 def _cmd_verify(args):
-    from .verify import run_verify
-
     cases = _parse_cases(args.cases) if args.cases is not None else None
     report = run_verify(cases=cases, seed=args.seed, deep=args.deep)
     prefixes = _SCOPES[args.scope]
@@ -214,8 +213,6 @@ def _cmd_verify(args):
 
 
 def _cmd_ineq(args):
-    from .inequalities import default_config, run_suite
-
     if args.config is not None:
         with open(args.config) as fh:
             config = json.load(fh)

@@ -38,7 +38,7 @@ from .forms import (
     lp_norm,
     sobolev_norm,
 )
-from .gridfield import GridField, _deriv_multiplier, int_freqs
+from .gridfield import GridField, _check_P, _deriv_multiplier, int_freqs
 from .multiindex import labels, multiindices
 from .operators import OperatorSpec, _apply, spec_for
 
@@ -170,6 +170,10 @@ EXCLUDED_NOTE = (
 )
 
 
+def _excluded_degree(n, q) -> bool:  # the unconstrained gn_ratio is unbounded
+    return q in (1, n - 1)
+
+
 def gn_ratio(spec: OperatorSpec, u: Form, assume=None,
              allow_excluded=False) -> float:
     """||u||_{W^{k-1, n/(n-1)}} / (||T u||_1 + ||T* u||_1) on source forms.
@@ -181,7 +185,7 @@ def gn_ratio(spec: OperatorSpec, u: Form, assume=None,
     if (u.n, u.N) != (spec.n, spec.n):
         raise ValueError("gn_ratio expects a source form")
     n, q = spec.n, u.q
-    if q in (1, n - 1) and assume is None and not allow_excluded:
+    if _excluded_degree(n, q) and assume is None and not allow_excluded:
         raise ValueError(EXCLUDED_NOTE)
     Tu = _apply(spec, u, adjoint=False)
     Tsu = _apply(spec, u, adjoint=True)
@@ -264,6 +268,11 @@ def scalar_symbol_array(spec: OperatorSpec, P) -> np.ndarray:
     return sig
 
 
+def _check_spectral(spec: OperatorSpec):
+    if spec.ell != 1:
+        raise ValueError("spectral inversion implemented for ell = 1")
+
+
 def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple:
     """Solve box Z = T* F + T G for the degree-q potential Z (ell = 1).
 
@@ -279,8 +288,7 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
     (forms._with_spectra), dropped before the solve.  The data keep no
     spectrum, and the residuals subtract their samples.
     """
-    if spec.ell != 1:
-        raise ValueError("spectral inversion implemented for ell = 1")
+    _check_spectral(spec)
     # (datum, name, adjoint): F is checked and reconstructed through T and
     # enters the right-hand side through T*; G the other way round
     data = [(X, name, adjoint) for X, name, adjoint
@@ -354,10 +362,9 @@ def default_config() -> dict:
     }
 
 
-def _probe_duality(entry, rng) -> dict:
-    n, k, q = entry["n"], entry["k"], entry["q"]
-    P = _grid_P(entry)
-    N = n  # duality pairs live on whatever label space; source space here
+def _probe_duality(entry, spec, P, rng) -> dict:
+    # duality pairs live on any label space; the source space N = n here
+    n, N, q = spec.n, spec.n, entry["q"]
     ratios = []
     drifts = []
     for _ in range(entry.get("trials", 4)):
@@ -373,10 +380,8 @@ def _probe_duality(entry, rng) -> dict:
             "max_drift": max(drifts)}
 
 
-def _probe_gn(entry, rng) -> dict:
-    spec = spec_for(entry["n"], entry["k"], entry["ell"],
-                    kind=entry.get("ordering", "lexicographic"))
-    q, P = entry["q"], _grid_P(entry)
+def _probe_gn(entry, spec, P, rng) -> dict:
+    q = entry["q"]
     ratios = []
     for _ in range(entry.get("trials", 4)):
         u, _ = random_bump_form(rng, spec.n, spec.n, q, P,
@@ -385,10 +390,8 @@ def _probe_gn(entry, rng) -> dict:
     return {"kind": "gn", "q": q, "ratios": ratios, "max_ratio": max(ratios)}
 
 
-def _probe_gn_dilation(entry, rng) -> dict:
-    spec = spec_for(entry["n"], entry["k"], entry["ell"],
-                    kind=entry.get("ordering", "lexicographic"))
-    q, P = entry["q"], _grid_P(entry)
+def _probe_gn_dilation(entry, spec, P, rng) -> dict:
+    q = entry["q"]
     _, specs = random_bump_form(rng, spec.n, spec.n, q, P,
                                 sigma_range=tuple(entry["sigma_range"]),
                                 spread=0.8)
@@ -402,9 +405,8 @@ def _probe_gn_dilation(entry, rng) -> dict:
             "ratios": ratios, "max_drift": drift}
 
 
-def _probe_classical_gn(entry, rng) -> dict:
-    n, P = entry["n"], _grid_P(entry)
-    spec = spec_for(n, 1, 1)
+def _probe_classical_gn(entry, spec, P, rng) -> dict:
+    n = spec.n
     rows = []
     for _ in range(entry.get("trials", 4)):
         u, _ = random_bump_form(rng, n, n, 0, P, sigma_range=(0.25, 0.4))
@@ -416,10 +418,8 @@ def _probe_classical_gn(entry, rng) -> dict:
             "max_rel_gap": max(r["rel_gap"] for r in rows)}
 
 
-def _probe_hodge(entry, rng) -> dict:
-    spec = spec_for(entry["n"], entry["k"], entry["ell"],
-                    kind=entry.get("ordering", "lexicographic"))
-    q, P = entry["q"], _grid_P(entry)
+def _probe_hodge(entry, spec, P, rng) -> dict:
+    q = entry["q"]
     phi, _ = random_bump_form(rng, spec.n, spec.N, q, P, components=2)
     F = _apply(spec, phi, adjoint=False)
     Z, info = hodge_solve(spec, q, F=F)
@@ -437,10 +437,6 @@ _PROBES = {
     "classical_gn": (_probe_classical_gn, ("n",), 64),
     "hodge": (_probe_hodge, ("n", "k", "ell", "q"), 32),
 }
-
-
-def _grid_P(entry) -> int:
-    return entry.get("P", _PROBES[entry["kind"]][2])
 
 
 def _is_int(value) -> bool:
@@ -477,9 +473,43 @@ def _bump_width_ok(width: float, P: int) -> bool:
         return bool(_periodized_gaussian_1d(P, np.pi / P, width).max() > 0)
 
 
-def _check_config(config) -> None:
+def _resolve_probe(kind, entry) -> tuple:
+    """(spec, P) of one probe entry, after each check its probe would meet
+    later: labels() for the degree, hodge_solve's ell, gn_ratio's degrees."""
+    missing = [key for key in _PROBES[kind][1] if key not in entry]
+    if missing:
+        raise ValueError(f"missing required keys {missing}")
+    for key, (ok, what) in _VALUE_RULES.items():
+        if key in entry and not ok(entry[key]):
+            raise ValueError(f"{key} must be {what}")
+    P = entry.get("P", _PROBES[kind][2])
+    _check_P(P)
+    for sigma in entry.get("sigma_range", ()):
+        for lam in entry.get("lams", [1.0]):
+            width = float(sigma) * float(lam)
+            if not _bump_width_ok(width, P):
+                raise ValueError(
+                    f"bump width {width!r} (a sigma_range end times a lams "
+                    "entry) does not give a finite, nonzero bump on the "
+                    f"P = {P} grid")
+    if "ell" in _PROBES[kind][1]:
+        spec = spec_for(entry["n"], entry["k"], entry["ell"],
+                        kind=entry.get("ordering", "lexicographic"))
+    else:  # duality and classical_gn: k = ell = 1 over n
+        spec = spec_for(entry["n"], 1, 1)
+    q = entry.get("q", 0)
+    labels(spec.N if kind == "hodge" else spec.n, q)
+    if kind == "hodge":
+        _check_spectral(spec)
+        labels(spec.N, q + spec.ell)
+    if kind in ("gn", "gn_dilation") and _excluded_degree(spec.n, q):
+        raise ValueError(EXCLUDED_NOTE)
+    return spec, P
+
+
+def _check_config(config) -> list:
     """Reject a malformed probe configuration with a ValueError naming the
-    offending probe, before any probe runs."""
+    offending probe, before any probe runs; returns each probe's (spec, P)."""
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object, got "
                          f"{type(config).__name__}")
@@ -488,46 +518,29 @@ def _check_config(config) -> None:
     probes = config.get("probes", [])
     if not isinstance(probes, list):
         raise ValueError("config: probes must be a list")
+    resolved = []
     for i, entry in enumerate(probes):
         if not isinstance(entry, dict):
             raise ValueError(f"probe {i}: entry must be a JSON object")
         kind = entry.get("kind")
         if not isinstance(kind, str) or kind not in _PROBES:
             raise ValueError(f"probe {i}: unknown probe kind {kind!r}")
-        missing = [key for key in _PROBES[kind][1] if key not in entry]
-        if missing:
-            raise ValueError(f"probe {i} ({kind}): missing required "
-                             f"keys {missing}")
-        for key, (ok, what) in _VALUE_RULES.items():
-            if key in entry and not ok(entry[key]):
-                raise ValueError(f"probe {i} ({kind}): {key} must be {what}")
-        P = _grid_P(entry)
-        for sigma in entry.get("sigma_range", ()):
-            for lam in entry.get("lams", [1.0]):
-                width = float(sigma) * float(lam)
-                if not _bump_width_ok(width, P):
-                    raise ValueError(
-                        f"probe {i} ({kind}): bump width {width!r} (a "
-                        "sigma_range end times a lams entry) does not give "
-                        f"a finite, nonzero bump on the P = {P} grid")
         try:
-            if kind == "classical_gn":
-                spec_for(entry["n"], 1, 1)
-            elif "ell" in _PROBES[kind][1]:
-                spec_for(entry["n"], entry["k"], entry["ell"],
-                         kind=entry.get("ordering", "lexicographic"))
+            resolved.append(_resolve_probe(kind, entry))
         except ValueError as exc:
             raise ValueError(f"probe {i} ({kind}): {exc}") from None
+    return resolved
 
 
 def run_suite(config: dict) -> dict:
     """Run the configured probe battery; deterministic for a fixed config."""
-    _check_config(config)
+    resolved = _check_config(config)
     seed = config.get("seed", 0)
     results = []
-    for i, entry in enumerate(config.get("probes", [])):
+    for i, (entry, (spec, P)) in enumerate(zip(config.get("probes", []),
+                                               resolved)):
         rng = random.Random(seed * 10007 + i)
-        results.append(_PROBES[entry["kind"]][0](entry, rng))
+        results.append(_PROBES[entry["kind"]][0](entry, spec, P, rng))
     return {
         "schema": "divcurl.report/1",
         "package_version": __version__,

@@ -84,11 +84,13 @@ from .forms import (
     _pullback,
     _pullback_plan,
     _with_spectra,
+    form_max_abs,
     hodge_star,
     lp_norm,
     zero_form,
 )
 from .gridfield import GridField, _deriv_multiplier
+from .increments import admissible_increments
 from .multiindex import (
     Ordering,
     labels,
@@ -154,8 +156,6 @@ class OperatorSpec:
 
 def spec_for(n, k, ell, kind="lexicographic") -> OperatorSpec:
     """Resolve N from the admissibility equation and build the spec."""
-    from .increments import admissible_increments
-
     for sol in admissible_increments(n, k):
         if sol.ell == ell:
             ordering = make_ordering(n, k, ell, sol.N, kind=kind)
@@ -710,7 +710,5 @@ def invariance_defect(spec: OperatorSpec, A, F: Form) -> float:
     right = _pullback(_apply(spec, F, adjoint=False), A, phases)
     diff = left - right
     if diff.backend == "trig":
-        from .forms import form_max_abs
-
         return form_max_abs(diff)
     return lp_norm(diff, 2)

@@ -16,7 +16,10 @@ common denominator d each entry is (sum of c p^gamma) / d^{2k}: an
 integer sum over the distinct monomials of the slot.  The tensor is
 compiled once per (spec, q, space) into those integer (gamma, c) lists,
 and each frequency costs one power per distinct gamma and one Fraction
-per nonzero slot.
+per slot read.  Every reader works on those slots.  Whether S(xi) =
+sigma(xi) Id (ell = 1) is read once per table, from the tensor's own
+is_kronecker(), and then one diagonal slot is the whole symbol.  A dense
+matrix is built only to print it (box_symbol) or for eigvalsh (ell >= 2).
 
 The strength measure is the Legendre-Hadamard style quotient
 
@@ -36,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .forms import Form
-from .multiindex import labels, multiindices
+from .multiindex import labels
 from .operators import OperatorSpec, box_apply, box_coeff_tensor
 from .trigpoly import TrigPoly
 
@@ -59,17 +62,11 @@ def _as_fractions(xi, n):
     return xi
 
 
-def _xi_pow(xi, gamma):
-    out = Fraction(1)
-    for x, g in zip(xi, gamma):
-        out *= x ** g
-    return out
-
-
 @lru_cache(maxsize=None)
 def _symbol_table(spec: OperatorSpec, q: int, source: bool):
-    """(labels, gammas, slots): slots holds (i, j, ((g, c), ...)) with
-    gammas[g] the exponent and c the integer tensor sum on it."""
+    """(labels, gammas, slots, scalar): slots holds (i, j, ((g, c), ...))
+    with gammas[g] the exponent and c the integer tensor sum on it; scalar
+    is True when S(xi) = sigma(xi) Id for every xi."""
     tensor = box_coeff_tensor(spec, q, source)
     labs = labels(tensor.width, q)
     idx = {L: i for i, L in enumerate(labs)}
@@ -82,7 +79,23 @@ def _symbol_table(spec: OperatorSpec, q: int, source: bool):
         slot[g] = slot.get(g, 0) + val
     slots = tuple((i, j, tuple((g, c) for g, c in terms.items() if c))
                   for (i, j), terms in sums.items())
-    return labs, tuple(gamma_idx), slots
+    # ell >= 2 tensors, Kronecker at q = 0 and q = N, keep eigvalsh
+    scalar = spec.ell == 1 and tensor.is_kronecker()
+    return labs, tuple(gamma_idx), slots, scalar
+
+
+def _slot_values(spec: OperatorSpec, gammas, slots, xi):
+    """[(i, j, S_ij(xi))] over the given slots: xi = p / d over one common
+    denominator d, one integer power per distinct gamma, one Fraction per
+    slot."""
+    xi = _as_fractions(xi, spec.n)
+    d = math.lcm(*(x.denominator for x in xi))
+    p = [x.numerator * (d // x.denominator) for x in xi]
+    mono = [math.prod(pi ** gi for pi, gi in zip(p, gamma))
+            for gamma in gammas]
+    den = d ** (2 * spec.k)
+    return [(i, j, Fraction(sum(c * mono[g] for g, c in terms), den))
+            for i, j, terms in slots]
 
 
 def box_symbol(spec: OperatorSpec, q: int, xi, source=False):
@@ -92,47 +105,31 @@ def box_symbol(spec: OperatorSpec, q: int, xi, source=False):
     degree-q labels of the hybrid space (or the source space when
     source=True).
     """
-    xi = _as_fractions(xi, spec.n)
-    labs, gammas, slots = _symbol_table(spec, q, bool(source))
-    d = math.lcm(*(x.denominator for x in xi))
-    p = [x.numerator * (d // x.denominator) for x in xi]
-    mono = [math.prod(pi ** gi for pi, gi in zip(p, gamma))
-            for gamma in gammas]
-    den = d ** (2 * spec.k)
-    size = len(labs)
-    S = [[Fraction(0)] * size for _ in range(size)]
-    for i, j, terms in slots:
-        S[i][j] = Fraction(sum(c * mono[g] for g, c in terms), den)
+    labs, gammas, slots, _ = _symbol_table(spec, q, bool(source))
+    S = [[Fraction(0)] * len(labs) for _ in labs]
+    for i, j, v in _slot_values(spec, gammas, slots, xi):
+        S[i][j] = v
     return labs, S
 
 
 def symbol_rayleigh(spec, q, xi, zeta, source=False) -> Fraction:
     """Exact Rayleigh numerator <S(xi) zeta, zeta> for rational zeta."""
-    labs, S = box_symbol(spec, q, xi, source=source)
+    labs, gammas, slots, _ = _symbol_table(spec, q, bool(source))
+    values = _slot_values(spec, gammas, slots, xi)
     zeta = [Fraction(z) for z in zeta]
     if len(zeta) != len(labs):
         raise ValueError("zeta length must match the label count")
-    return sum(S[i][j] * zeta[i] * zeta[j]
-               for i in range(len(labs)) for j in range(len(labs)))
-
-
-def _norm2k(xi, k) -> Fraction:
-    return sum(x * x for x in xi) ** k
+    return sum((v * zeta[i] * zeta[j] for i, j, v in values), Fraction(0))
 
 
 def min_symbol_eigenvalue(spec, q, xi, source=False):
-    """Smallest eigenvalue of S(xi).
-
-    Exact when ell = 1 (the matrix is a multiple of the identity there);
-    otherwise a float from the dense symmetric eigensolver.
-    """
-    labs, S = box_symbol(spec, q, xi, source=source)
-    if spec.ell == 1:
-        diag = S[0][0]
-        size = len(labs)
-        if all(S[i][j] == (diag if i == j else 0)
-               for i in range(size) for j in range(size)):
-            return diag
+    """Smallest eigenvalue of S(xi): exact when ell = 1, where S(xi) is
+    sigma(xi) Id and one diagonal slot holds sigma; otherwise a float from
+    the dense symmetric eigensolver."""
+    _, gammas, slots, scalar = _symbol_table(spec, q, bool(source))
+    if scalar:
+        return _slot_values(spec, gammas, slots[:1], xi)[0][2]
+    _, S = box_symbol(spec, q, xi, source=source)
     M = np.array([[float(v) for v in row] for row in S])
     return float(np.linalg.eigvalsh(M)[0])
 
@@ -140,7 +137,7 @@ def min_symbol_eigenvalue(spec, q, xi, source=False):
 def lh_quotient(spec, q, xi, source=False):
     """min eigenvalue of S(xi) divided by |xi|^{2k}; scale invariant."""
     xi = _as_fractions(xi, spec.n)
-    nrm = _norm2k(xi, spec.k)
+    nrm = sum(x * x for x in xi) ** spec.k
     if nrm == 0:
         raise ValueError("xi must be nonzero")
     ev = min_symbol_eigenvalue(spec, q, xi, source=source)
@@ -151,16 +148,12 @@ def lh_quotient(spec, q, xi, source=False):
 
 def source_symbol_scalar(spec, xi) -> Fraction:
     """The scalar sigma(xi) = sum over source-coupled alpha of xi^{2 alpha}
-    (requires ell = 1, where the source symbol is sigma times identity)."""
+    (requires ell = 1, where the source symbol is sigma times identity):
+    the one slot of the source degree-0 table."""
     if spec.ell != 1:
         raise ValueError("scalar symbol only for ell = 1")
-    xi = _as_fractions(xi, spec.n)
-    total = Fraction(0)
-    for alpha in multiindices(spec.n, spec.k):
-        lab = spec.ordering.label_of(alpha)
-        if all(t <= spec.n for t in lab):
-            total += _xi_pow(xi, tuple(2 * a for a in alpha))
-    return total
+    _, gammas, slots, _ = _symbol_table(spec, 0, True)
+    return _slot_values(spec, gammas, slots, xi)[0][2]
 
 
 def rational_sphere_point(u):
@@ -233,7 +226,7 @@ def wave_symbol_check(spec, q, xi_int, zeta=None, source=False) -> bool:
     """
     xi_int = tuple(int(x) for x in xi_int)
     width = box_coeff_tensor(spec, q, bool(source)).width
-    labs, S = box_symbol(spec, q, xi_int, source=source)
+    labs, gammas, slots, _ = _symbol_table(spec, q, bool(source))
     if zeta is None:
         zeta = [Fraction(1)] * len(labs)
     zeta = [Fraction(z) for z in zeta]
@@ -241,11 +234,10 @@ def wave_symbol_check(spec, q, xi_int, zeta=None, source=False) -> bool:
     coeffs = {L: wave.scale(z) for L, z in zip(labs, zeta) if z != 0}
     H = Form(spec.n, width, q, coeffs, backend="trig")
     out = box_apply(spec, H)
-    expected = {}
-    for i, L in enumerate(labs):
-        val = sum(S[i][j] * zeta[j] for j in range(len(labs)))
-        if val != 0:
-            expected[L] = wave.scale(val)
+    rows = [0] * len(labs)
+    for i, j, v in _slot_values(spec, gammas, slots, xi_int):
+        rows[i] += v * zeta[j]
+    expected = {L: wave.scale(val) for L, val in zip(labs, rows) if val != 0}
     want = Form(spec.n, width, q, expected, backend="trig")
     if out != want:
         raise ArithmeticError(

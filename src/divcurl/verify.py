@@ -23,6 +23,7 @@ from dataclasses import dataclass, asdict
 
 from . import __version__, operators
 from .forms import Form, inner_product, inner_product_wedge, hodge_star
+from .increments import admissible_increments
 from .operators import (
     OperatorSpec,
     apply_T,
@@ -56,8 +57,6 @@ class CheckRecord:
 def default_cases():
     """(n, k, ell, ordering kind) for every admissible increment with
     n in {2, 3}, k in {1, 2, 3}; ell = 1 also gets its special orderings."""
-    from .increments import admissible_increments
-
     cases = []
     for n in (2, 3):
         for k in (1, 2, 3):

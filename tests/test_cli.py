@@ -338,6 +338,34 @@ def test_version_flag(capsys):
      "probe 0 (classical_gn): need n >= 2"),
     ({"probes": [{"kind": "classical_gn", "n": 2}, {"kind": "nope"}]},
      "probe 1: unknown probe kind 'nope'"),
+    # each check a probe meets on its way runs before probe 0 does
+    ({"probes": [{"kind": "classical_gn", "n": 2},
+                 {"kind": "duality", "n": 2, "k": 1, "q": 1, "P": 48,
+                  "sigma_range": [0.25, 0.4]}]},
+     "probe 1 (duality): grid resolution must be a power of two"),
+    ({"probes": [{"kind": "classical_gn", "n": 2},
+                 {"kind": "gn", "n": 2, "k": 1, "ell": 1, "q": 5,
+                  "sigma_range": [0.25, 0.4]}]},
+     "probe 1 (gn): label degree 5 out of range for n=2"),
+    ({"probes": [{"kind": "classical_gn", "n": 2},
+                 {"kind": "hodge", "n": 2, "k": 3, "ell": 3, "q": 0}]},
+     "probe 1 (hodge): spectral inversion implemented for ell = 1"),
+    ({"probes": [{"kind": "classical_gn", "n": 2},
+                 {"kind": "hodge", "n": 2, "k": 2, "ell": 1, "q": 3,
+                  "ordering": "diagonal"}]},
+     "probe 1 (hodge): label degree 4 out of range for n=3"),
+    ({"probes": [{"kind": "classical_gn", "n": 2},
+                 {"kind": "gn", "n": 2, "k": 1, "ell": 1, "q": 1,
+                  "sigma_range": [0.25, 0.4]}]},
+     "probe 1 (gn): degree q in {1, n-1} needs a side condition"),
+    ({"probes": [{"kind": "classical_gn", "n": 2},
+                 {"kind": "gn_dilation", "n": 3, "k": 1, "ell": 1, "q": 2,
+                  "sigma_range": [0.25, 0.4], "lams": [1.0]}]},
+     "probe 1 (gn_dilation): degree q in {1, n-1} needs a side condition"),
+    ({"probes": [{"kind": "classical_gn", "n": 2},
+                 {"kind": "duality", "n": 1, "k": 1, "q": 0,
+                  "sigma_range": [0.25, 0.4]}]},
+     "probe 1 (duality): need n >= 2"),
 ])
 def test_ineq_malformed_config_is_a_one_line_error(capsys, tmp_path, config,
                                                    message):

@@ -2,7 +2,8 @@
 an ast scan of the package (except its re-exporting __init__), the tests
 and the demos.  Every parameter of every function in the package, with or
 without a default, is read by its function's body.  Every name in a
-package module's __all__ is bound in that module."""
+package module's __all__ is bound in that module.  No function body in
+the package imports anything."""
 
 import ast
 from pathlib import Path
@@ -89,5 +90,30 @@ def test_scan_flags_an_unbound_export():
 
 def test_every_export_is_bound():
     found = {p.name: unbound_exports(p.read_text())
+             for p in (ROOT / "src/divcurl").glob("*.py")}
+    assert {p: u for p, u in found.items() if u} == {}
+
+
+def function_imports(source: str) -> list:
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.update(f"line {n.lineno}" for stmt in node.body
+                         for n in ast.walk(stmt)
+                         if isinstance(n, (ast.Import, ast.ImportFrom)))
+    return sorted(found)
+
+
+def test_scan_flags_an_import_in_a_function():
+    src = ("import os\nclass C:\n    import sys\n    def m(self):\n"
+           "        from os import path\n        return path\n"
+           "def f():\n    def g():\n        import json\n        return json\n"
+           "    return g\n")
+    # a class body may import; a method or a nested function may not
+    assert function_imports(src) == ["line 5", "line 9"]
+
+
+def test_no_import_inside_a_function():
+    found = {p.name: function_imports(p.read_text())
              for p in (ROOT / "src/divcurl").glob("*.py")}
     assert {p: u for p, u in found.items() if u} == {}

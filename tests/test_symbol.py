@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from divcurl import symbol
 from divcurl.increments import increment_scan
 from divcurl.multiindex import labels, random_ordering
 from divcurl.operators import (
@@ -211,3 +212,48 @@ def test_box_symbol_equals_entrywise_fraction_sum():
                                                              source))
                                 matrices += 1
     assert matrices > 500
+
+
+def test_ell1_readers_build_no_dense_matrix(monkeypatch):
+    """At ell = 1 every reader works on the table slots: with box_symbol
+    made to raise, scans, quotients, sigma, Rayleigh sums and wave checks
+    still complete on the hybrid and the source space."""
+    def dense(*args, **kwargs):
+        raise AssertionError("dense symbol matrix built")
+
+    monkeypatch.setattr(symbol, "box_symbol", dense)
+    spec = spec_for(2, 2, 1, "diagonal")
+    assert source_symbol_scalar(spec, (2, 3)) == 97
+    for source in (False, True):
+        for q in range((spec.n if source else spec.N) + 1):
+            rep = ellipticity_scan(spec, q, source=source, samples=4, seed=1)
+            assert rep["exact_arithmetic"] and rep["min_quotient"] > 0
+            quotient = lh_quotient(spec, q, (1, 2), source=source)
+            assert isinstance(quotient, Fraction)
+            width = spec.n if source else spec.N
+            zeta = [Fraction(1)] + [Fraction(0)] * (math.comb(width, q) - 1)
+            assert (symbol_rayleigh(spec, q, (1, 2), zeta, source=source)
+                    == quotient * 5 ** spec.k)
+            assert wave_symbol_check(spec, q, (1, 2), source=source)
+
+
+def test_rayleigh_equals_dense_quadratic_form():
+    """<S(xi) zeta, zeta> from the slots equals sum S_ij zeta_i zeta_j of
+    the dense matrix, for random rational xi and zeta, ell = 1, 2, 3 on
+    both spaces."""
+    rng = random.Random(29)
+    specs = [spec_for(2, 2, 1, "diagonal"), spec_for(3, 2, 1),
+             spec_for(2, 2, 2), spec_for(3, 2, 2), spec_for(3, 3, 3)]
+    for spec in specs:
+        for source in (False, True):
+            for q in range((spec.n if source else spec.N) + 1):
+                xi = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                           for _ in range(spec.n))
+                labs, S = box_symbol(spec, q, xi, source=source)
+                zeta = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                        for _ in labs]
+                dense = sum(S[i][j] * zeta[i] * zeta[j]
+                            for i in range(len(labs))
+                            for j in range(len(labs)))
+                assert symbol_rayleigh(spec, q, xi, zeta,
+                                       source=source) == dense
