@@ -3,7 +3,7 @@ complexes on the torus."""
 
 __version__ = "0.1.0"
 
-from .increments import IncrementSolution, admissible_increments, increment_scan
+from .increments import IncrementSolution, admissible_increments
 from .multiindex import (
     Ordering,
     complement,

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .increments import increment_scan
+from .increments import admissible_increments
 from .inequalities import default_config, run_suite
 from .operators import box_coeff_tensor, spec_for
 from .symbol import box_symbol, ellipticity_scan
@@ -53,26 +53,24 @@ def _json(obj) -> str:
 
 
 def _cmd_increments(args):
-    admissible, rejected = increment_scan(args.n, args.k)
+    admissible = admissible_increments(args.n, args.k)
     if args.format == "json":
         return _json({
             "schema": "divcurl.increments/1",
             "package_version": __version__,
             "n": args.n,
             "k": args.k,
-            "m": admissible[0].m if admissible else None,
+            "m": admissible[0].m,
             "admissible": [{"ell": s.ell, "N": s.N, "m": s.m}
                            for s in admissible],
-            "rejected": [{"ell": s.ell, "N": s.N,
-                          "reason": "N < n - 1 + ell"} for s in rejected],
+            # kept for the schema: the dimension constraint never rejects
+            "rejected": [],
         })
     if args.format == "csv":
         return ["ell,N,m"] + [f"{s.ell},{s.N},{s.m}" for s in admissible]
     return ([f"admissible increments for n={args.n}, k={args.k} "
-             f"(m={admissible[0].m if admissible else 0}):"]
-            + [f"  ell={s.ell}  N={s.N}" for s in admissible]
-            + [f"  rejected ell={s.ell} (N={s.N}): N < n - 1 + ell"
-               for s in rejected])
+             f"(m={admissible[0].m}):"]
+            + [f"  ell={s.ell}  N={s.N}" for s in admissible])
 
 
 def _index_text(t, cache) -> str:

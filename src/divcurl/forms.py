@@ -69,9 +69,7 @@ class Form:
     def __init__(self, n, N, q, coeffs, backend=None, P=None):
         if not (1 <= n <= N):
             raise ValueError("need 1 <= n <= N")
-        if not (0 <= q <= N):
-            raise ValueError(f"degree {q} out of range 0..{N}")
-        valid = _label_set(N, q)
+        valid = _label_set(N, q)  # labels() rejects q outside 0..N
         clean = {}
         for lab, c in coeffs.items():
             lab = tuple(lab)

@@ -260,8 +260,7 @@ def scalar_symbol_array(spec: OperatorSpec, P) -> np.ndarray:
     The array has the half-spectrum layout of GridField.spectrum(): the
     last axis runs over frequencies 0..P/2, the others over int_freqs(P).
     """
-    if spec.ell != 1:
-        raise ValueError("scalar symbol requires ell = 1")
+    _check_spectral(spec)
     sig = 0.0
     for alpha in multiindices(spec.n, spec.k):
         sig = sig + np.abs(_deriv_multiplier(spec.n, P, tuple(alpha))) ** 2
@@ -475,7 +474,8 @@ def _bump_width_ok(width: float, P: int) -> bool:
 
 def _resolve_probe(kind, entry) -> tuple:
     """(spec, P) of one probe entry, after each check its probe would meet
-    later: labels() for the degree, hodge_solve's ell, gn_ratio's degrees."""
+    later: labels() for the degree, hodge_solve's ell and the degree of
+    its datum T phi, gn_ratio's degrees."""
     missing = [key for key in _PROBES[kind][1] if key not in entry]
     if missing:
         raise ValueError(f"missing required keys {missing}")
@@ -501,7 +501,9 @@ def _resolve_probe(kind, entry) -> tuple:
     labels(spec.N if kind == "hodge" else spec.n, q)
     if kind == "hodge":
         _check_spectral(spec)
-        labels(spec.N, q + spec.ell)
+        if q + spec.ell > spec.N:
+            raise ValueError(f"output degree q + ell = {q + spec.ell} "
+                             f"exceeds N = {spec.N}")
     if kind in ("gn", "gn_dilation") and _excluded_degree(spec.n, q):
         raise ValueError(EXCLUDED_NOTE)
     return spec, P

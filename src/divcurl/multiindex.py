@@ -66,9 +66,10 @@ def labels(n: int, q: int) -> tuple:
     """All strictly increasing q-tuples over {1, ..., n}, lexicographic.
 
     ``labels(n, 0)`` is ``((),)``: the single empty label of 0-forms.
+    The package's one check that a degree lies in 0..n.
     """
     if q < 0 or q > n:
-        raise ValueError(f"label degree {q} out of range for n={n}")
+        raise ValueError(f"label degree {q} out of range 0..{n}")
     return tuple(combinations(range(1, n + 1), q))
 
 

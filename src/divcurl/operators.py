@@ -27,8 +27,10 @@ integer coefficient tensor; box_coeff_tensor builds it by direct
 summation over connecting labels and box_coeff_closed_form builds it
 entry by entry from the overlap decomposition of the two derivative
 blocks, each on the hybrid or (top=True) the source space.  Both are
-exposed so they can be cross-checked exactly.  Both start at the guard
-_tensor_width, and a tensor carries the label width it returns.
+exposed so they can be cross-checked exactly.  Both take their label
+width from _tensor_width, the one raise for a trivial source operator
+(n < ell), then read labels(width, q), which rejects a degree outside
+0..width, before any other work; a tensor carries that width.
 
 Every action runs through one table path: _apply picks the raising
 table _t_table or the coordinate-adjoint table _tstar_table over labels
@@ -137,8 +139,6 @@ class OperatorSpec:
         m = math.comb(n - 1 + k, k)
         if math.comb(N, ell) != m:
             raise ValueError(f"C({N},{ell}) != C({n - 1 + k},{k}); not admissible")
-        if N < n - 1 + ell:
-            raise ValueError("dimension constraint N >= n - 1 + ell violated")
         o = self.ordering
         if (o.n, o.k, o.ell, o.N) != (n, k, ell, N):
             raise ValueError("ordering parameters do not match the spec")
@@ -315,12 +315,11 @@ def _apply(spec: OperatorSpec, F: Form, adjoint: bool) -> Form:
 
 def _check_space(spec: OperatorSpec, F: Form):
     """F must live on the hybrid space (F.N == N) or the source space
-    (F.N == n) of the spec."""
+    (F.N == n) of the spec, and the source space needs n >= ell."""
     if F.n != spec.n or F.N not in (spec.N, spec.n):
         raise ValueError("form lives on neither the hybrid (N) nor the "
                          "source (n) space of the spec")
-    if F.N == spec.n < spec.ell:
-        raise ValueError("source operator is trivial for n < ell")
+    _tensor_width(spec, F.N == spec.n)
 
 
 def apply_T(spec: OperatorSpec, F: Form) -> Form:
@@ -533,15 +532,13 @@ def _tensor_by_summation(spec: OperatorSpec, q: int, width: int) -> dict:
     return entries
 
 
-def _tensor_width(spec: OperatorSpec, q: int, top: bool) -> int:
-    """Label width of the degree-q tensor, n on the source space (top=True)
-    and N on the hybrid space; raises where no tensor exists."""
+def _tensor_width(spec: OperatorSpec, top: bool) -> int:
+    """Label width of the source space (top=True), n, or of the hybrid
+    space, N; raises for the source space when n < ell, where the source
+    operator is trivial.  A degree outside 0..width is left to labels()."""
     if top and spec.n < spec.ell:
         raise ValueError("source operator is trivial for n < ell")
-    width = spec.n if top else spec.N
-    if not (0 <= q <= width):
-        raise ValueError("degree out of range")
-    return width
+    return spec.n if top else spec.N
 
 
 @lru_cache(maxsize=None)
@@ -552,7 +549,7 @@ def box_coeff_tensor(spec: OperatorSpec, q: int, top: bool = False) -> CoeffTens
     The cache keys on the call as written, so every caller in the package
     passes top positionally: box_coeff_tensor(spec, q, top).
     """
-    width = _tensor_width(spec, q, top)
+    width = _tensor_width(spec, top)
     return CoeffTensor(spec, q, width, _tensor_by_summation(spec, q, width))
 
 
@@ -617,9 +614,9 @@ def _overlap_row(ell, mI, a, ma, pairs):
 def box_coeff_closed_form(spec: OperatorSpec, q: int, top: bool = False) -> CoeffTensor:
     """Full tensor from the overlap decomposition: each (I, alpha, beta)
     has at most one M with a nonzero entry."""
-    width = _tensor_width(spec, q, top)
-    pairs = _image_alphas(spec, width)
+    width = _tensor_width(spec, top)
     index = _label_index(width, q)
+    pairs = _image_alphas(spec, width)
     entries = {}
     for mI, I in index.items():
         for alpha, a, ma in pairs:

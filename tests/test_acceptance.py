@@ -16,7 +16,7 @@ import pytest
 
 from divcurl.forms import Form, lp_norm, sample_form
 from divcurl.gridfield import GridField, grid_points
-from divcurl.increments import admissible_increments, increment_scan
+from divcurl.increments import admissible_increments
 from divcurl.inequalities import (
     bump_form,
     classical_gn_ratio,
@@ -73,17 +73,17 @@ def criterion(num, budget, detail_box=None):
 def test_criterion_1_increments():
     box = [""]
     with criterion(1, 1.0, box):
-        admissible, rejected = increment_scan(2, 9)
+        admissible = admissible_increments(2, 9)
         assert [(s.ell, s.N) for s in admissible] == \
             [(1, 10), (2, 5), (3, 5), (9, 10)]
-        assert rejected == []
+        assert all(s.N >= 2 - 1 + s.ell for s in admissible)
         for n in range(2, 11):
-            admissible, _ = increment_scan(n, 1)
+            admissible = admissible_increments(n, 1)
             assert [(s.ell, s.N) for s in admissible] == [(1, n)]
         # the (2, 29) family: ell = 2 would need C(N, 2) = 30, but the
         # triangular numbers jump from 28 to 36, so the exact answer is
         # {1, 29} and nothing else
-        admissible, _ = increment_scan(2, 29)
+        admissible = admissible_increments(2, 29)
         ells = [s.ell for s in admissible]
         assert ells == [1, 29]
         assert 2 not in ells

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ import divcurl
 import divcurl.operators as ops
 from divcurl import cli, symbol
 from divcurl.cli import build_parser, main
+from divcurl.verify import identity_suite
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +84,36 @@ def test_symbol_scan_reports_chained_degeneracy(capsys):
     obj = json.loads(out)
     assert obj["schema"] == "divcurl.symbol-scan/1"
     assert obj["degenerate_witnesses"]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("symbol", "2", "2", "2", "--q", "1", "--xi=-1/2,3"),
+     "symbol at xi=-1/2,3 (q=1):\n"
+     "  (1,): 81  27/2  9/4\n"
+     "  (2,): 27/2  9/4  3/8\n"
+     "  (3,): 9/4  3/8  1/16\n"),
+    (("symbol", "3", "2", "1", "--ordering", "diagonal", "--source",
+      "--samples", "4"),
+     "ellipticity scan (q=0, source space, 8 directions):\n"
+     "  min quotient 0.333333 at xi=['1', '1', '1']\n"
+     "  max quotient 1\n"
+     "  degenerate directions found: 0\n"),
+    (("symbol", "2", "3", "1", "--ordering", "chained", "--source",
+      "--samples", "10"),
+     "ellipticity scan (q=0, source space, 13 directions):\n"
+     "  min quotient 0 at xi=['0', '1']\n"
+     "  max quotient 1\n"
+     "  degenerate directions found: 3\n"
+     "    witness xi=['0', '1']\n"
+     "    witness xi=['0', '1']\n"
+     "    witness xi=['0', '1']\n"),
+], ids=["matrix", "scan", "degenerate-scan"])
+def test_symbol_text_is_exact(capsys, argv, text):
+    """The text symbol matrix and the text ell = 1 scan come from exact
+    arithmetic, so their text is pinned."""
+    code, out = run_cli(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert out == text
 
 
 def test_verify_passes_and_is_byte_identical(capsys):
@@ -211,6 +244,24 @@ def test_verify_scope_filters_records(capsys):
     assert all(r["name"].startswith("symbol_") for r in obj["records"])
 
 
+def test_verify_scopes_cover_every_record_once():
+    """Every record of the deep battery on an ell = 1, an odd ell >= 3 and
+    an even ell spec falls in exactly one --scope family, so no family of
+    checks drops out of every scoped report, and every family is met."""
+    families = {scope: prefixes for scope, prefixes in cli._SCOPES.items()
+                if prefixes is not None}
+    rng = random.Random(0)
+    met = set()
+    for spec in (ops.spec_for(2, 2, 1, "diagonal"), ops.spec_for(2, 3, 3),
+                 ops.spec_for(3, 2, 2)):
+        for record in identity_suite(spec, rng, deep=True):
+            hits = [scope for scope, prefixes in families.items()
+                    if record.name.startswith(prefixes)]
+            assert len(hits) == 1, (record.name, hits)
+            met.update(hits)
+    assert met == set(families)
+
+
 def test_verify_exit_code_on_corruption(capsys, monkeypatch):
     real = ops._tstar_table.__wrapped__
 
@@ -222,6 +273,31 @@ def test_verify_exit_code_on_corruption(capsys, monkeypatch):
                         "--format", "text")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_ineq_text_has_one_line_per_probe_in_config_order(capsys, tmp_path):
+    """A header, then one 'kind: key=value ...' line per probe in config
+    order.  The digits follow numpy's SIMD dispatch, so only the structure
+    is checked."""
+    probes = [
+        {"kind": "hodge", "n": 2, "k": 1, "ell": 1, "q": 0, "P": 16},
+        {"kind": "classical_gn", "n": 2, "trials": 1, "P": 16},
+        {"kind": "gn", "n": 2, "k": 1, "ell": 1, "q": 0, "trials": 1,
+         "P": 16, "sigma_range": [0.25, 0.4]},
+        {"kind": "duality", "n": 2, "k": 1, "q": 1, "trials": 1, "P": 16,
+         "sigma_range": [0.25, 0.4]},
+    ]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 4, "probes": probes}))
+    code, out = run_cli(capsys, "ineq", "--config", str(path), "--format",
+                        "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "inequality probes (seed 4):"
+    assert len(lines) == 1 + len(probes)
+    for line, probe in zip(lines[1:], probes):
+        assert re.fullmatch(rf"  {probe['kind']}:( \w+=\S+)( {{2}}\w+=\S+)*",
+                            line), line
 
 
 def test_out_writes_file_instead_of_stdout(capsys, tmp_path):
@@ -346,14 +422,14 @@ def test_version_flag(capsys):
     ({"probes": [{"kind": "classical_gn", "n": 2},
                  {"kind": "gn", "n": 2, "k": 1, "ell": 1, "q": 5,
                   "sigma_range": [0.25, 0.4]}]},
-     "probe 1 (gn): label degree 5 out of range for n=2"),
+     "probe 1 (gn): label degree 5 out of range 0..2"),
     ({"probes": [{"kind": "classical_gn", "n": 2},
                  {"kind": "hodge", "n": 2, "k": 3, "ell": 3, "q": 0}]},
      "probe 1 (hodge): spectral inversion implemented for ell = 1"),
     ({"probes": [{"kind": "classical_gn", "n": 2},
                  {"kind": "hodge", "n": 2, "k": 2, "ell": 1, "q": 3,
                   "ordering": "diagonal"}]},
-     "probe 1 (hodge): label degree 4 out of range for n=3"),
+     "probe 1 (hodge): output degree q + ell = 4 exceeds N = 3"),
     ({"probes": [{"kind": "classical_gn", "n": 2},
                  {"kind": "gn", "n": 2, "k": 1, "ell": 1, "q": 1,
                   "sigma_range": [0.25, 0.4]}]},
@@ -366,6 +442,12 @@ def test_version_flag(capsys):
                  {"kind": "duality", "n": 1, "k": 1, "q": 0,
                   "sigma_range": [0.25, 0.4]}]},
      "probe 1 (duality): need n >= 2"),
+    # a hodge probe whose own q is past N fails at labels(), before the
+    # q + ell check
+    ({"probes": [{"kind": "classical_gn", "n": 2},
+                 {"kind": "hodge", "n": 2, "k": 2, "ell": 1, "q": 4,
+                  "ordering": "diagonal"}]},
+     "probe 1 (hodge): label degree 4 out of range 0..3"),
 ])
 def test_ineq_malformed_config_is_a_one_line_error(capsys, tmp_path, config,
                                                    message):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from divcurl.increments import admissible_increments, increment_scan
+from divcurl.increments import admissible_increments
 
 
 def brute_admissible(n, k, n_cap=400):
@@ -66,29 +66,28 @@ def test_structural_properties():
 def test_dimension_constraint_never_fires_for_ell_at_most_k():
     """For ell <= k the unique N with C(N, ell) = m automatically obeys
     N >= n - 1 + ell: C is strictly increasing in N and
-    C(n-1+ell, ell) <= C(n-1+k, k) = m.  The rejection channel must
-    therefore stay empty over any sweep."""
+    C(n-1+ell, ell) <= C(n-1+k, k) = m.  So nothing checks the constraint,
+    and every solution over any sweep obeys it."""
     for n in range(2, 7):
         for k in range(1, 10):
-            admissible, rejected = increment_scan(n, k)
-            assert rejected == []
+            admissible = admissible_increments(n, k)
             assert admissible
+            assert all(s.N >= n - 1 + s.ell for s in admissible)
 
 
 def test_large_m_is_solved_without_a_climb():
     """(20, 20) has m = C(39, 20), about 6.9e10: ell = 1 needs N = m, out
     of reach of a step-by-step climb.  No spec is built, since
     multiindices(20, 20) would have m entries."""
-    admissible, rejected = increment_scan(20, 20)
+    admissible = admissible_increments(20, 20)
     assert [(s.ell, s.N) for s in admissible] == [
         (1, 68923264410), (19, 39), (20, 39)]
-    assert rejected == []
     for s in admissible:
         assert math.comb(s.N, s.ell) == s.m == math.comb(39, 20)
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        increment_scan(1, 3)
+        admissible_increments(1, 3)
     with pytest.raises(ValueError):
-        increment_scan(2, 0)
+        admissible_increments(2, 0)

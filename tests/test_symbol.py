@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from divcurl import symbol
-from divcurl.increments import increment_scan
+from divcurl.increments import admissible_increments
 from divcurl.multiindex import labels, random_ordering
 from divcurl.operators import (
     OperatorSpec,
@@ -191,7 +191,7 @@ def test_box_symbol_equals_entrywise_fraction_sum():
         for k in itertools.takewhile(
                 lambda k: math.comb(n - 1 + k, k) <= math.comb(7, 3),
                 itertools.count(1)):
-            for inc in increment_scan(n, k)[0]:
+            for inc in admissible_increments(n, k):
                 if inc.N > 7:
                     continue
                 specs = [spec_for(n, k, inc.ell)] + [
