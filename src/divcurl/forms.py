@@ -22,13 +22,14 @@ Conventions fixed here and used throughout:
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .gridfield import GridField, _check_P, grid_points
+from .gridfield import GridField, _check_P, _spectral, grid_points
 from .multiindex import (
     complement,
     labels,
@@ -320,15 +321,40 @@ def _l2_lp(comps, p) -> float:
     return float(np.mean(mag2 ** (p / 2.0)) ** (1.0 / p))
 
 
+def _l2_half_spectra(F: Form, minus: Form = None) -> float:
+    """L2 norm of the pointwise little-l2 magnitude of the grid form F, or
+    of F - minus, by Parseval on the coefficients' rfftn half spectra:
+    mean(f^2) = P^(-2n) sum w |S|^2, where w is 1 on the last axis's
+    columns 0 and P/2 and 2 on every other column.  Labels are summed in
+    sorted order, from elementwise squares and np.sum only (no BLAS), so
+    the bits do not depend on numpy's SIMD dispatch."""
+    theirs = {} if minus is None else minus.coeffs
+    total = 0.0
+    for lab in sorted(F.coeffs.keys() | theirs.keys()):
+        sp = F.coeffs[lab].spectrum() if lab in F.coeffs else 0.0
+        if lab in theirs:
+            sp = sp - theirs[lab].spectrum()
+        sq = sp.real * sp.real + sp.imag * sp.imag
+        total += (2.0 * np.sum(sq[..., 1:-1]) + np.sum(sq[..., 0])
+                  + np.sum(sq[..., -1]))
+    return math.sqrt(total) / F.P ** F.n
+
+
 def lp_norm(F: Form, p, P=None) -> float:
     """Lp norm of the pointwise little-l2 magnitude of the component vector.
 
     Exactly band-limited integrands (p = 2) are integrated exactly by the
     grid mean once the resolution clears twice the bandwidth; other p are
-    quadratures on an oversampled grid.
+    quadratures on an oversampled grid.  The L2 norm of a grid form is read
+    off the half spectra by Parseval, with no inverse transform, when the
+    coefficients are in the domain GridField's + would work in: each holds
+    a spectrum and at least one lacks its samples.  Other grid forms sum
+    their samples.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    if p == 2 and F.backend == "grid" and _spectral(*F.coeffs.values()):
+        return _l2_half_spectra(F)
     return _l2_lp(_samples(F, P), p)
 
 

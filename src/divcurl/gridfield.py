@@ -23,8 +23,11 @@ Derivatives are Fourier multipliers on the half spectrum.  +, negation
 and scale work on spectra when every operand has one and at least one
 lacks samples, and on samples otherwise.  a - b takes the domain of
 a + (-b): spectra when b holds only a spectrum and a holds one, samples
-otherwise (so b holding both means samples).  Pointwise products, the
-mean (the normalized integral) and norms read samples.  Arrays are marked
+otherwise (so b holding both means samples).  The L2 norm of a grid form
+(forms.lp_norm) follows the rule of +: it sums the half spectra by
+Parseval when every coefficient has one and at least one lacks samples,
+with no inverse transform.  Pointwise products, the mean (the normalized
+integral) and every other norm read samples.  Arrays are marked
 read-only; all operations return new fields.
 """
 
@@ -94,8 +97,9 @@ def _deriv_multiplier(n: int, P: int, alpha: tuple) -> np.ndarray:
 
 
 def _spectral(*fields) -> bool:
-    """Whether +, negation or scale on fields runs on their half spectra:
-    each carries one and at least one would need an inverse transform."""
+    """Whether +, negation or scale on fields (and forms.lp_norm's L2 norm
+    of them) runs on their half spectra: each carries one and at least one
+    would need an inverse transform."""
     return (all(f._spectrum is not None for f in fields)
             and any(f._samples is None for f in fields))
 

@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .forms import (
     Form,
+    _l2_half_spectra,
     _with_spectra,
     grad_lp_norm,
     inner_product,
@@ -65,10 +66,12 @@ __all__ = [
 
 def _periodized_gaussian_1d(P, center, sigma):
     x = np.arange(P) * (2 * np.pi / P)
-    acc = np.zeros(P)
-    for j in (-2, -1, 0, 1, 2):
-        acc += np.exp(-((x - center - 2 * np.pi * j) ** 2) / (2 * sigma**2))
-    return acc
+    images = 2 * np.pi * np.arange(-2, 3).reshape(-1, 1)    # j = -2..2
+    args = -((x - center - images) ** 2) / (2 * sigma**2)
+    # math.exp, not np.exp: numpy's exp rounds differently under its
+    # AVX-512 and AVX2 loops, libm's does not depend on the SIMD level
+    waves = np.array([math.exp(a) for a in args.ravel().tolist()])
+    return sum(waves.reshape(args.shape))       # image by image, in order
 
 
 @dataclass(frozen=True)
@@ -282,10 +285,13 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
     sampled data are exactly closed/coclosed on the grid and otherwise
     measure their sampling defect.
 
-    Each datum is transformed once per label: its closedness check and
-    its right-hand side term read one call-local view holding its spectra
-    (forms._with_spectra), dropped before the solve.  The data keep no
-    spectrum, and the residuals subtract their samples.
+    Each datum is transformed once per label: its closedness check, its
+    right-hand side term and its residual read one call-local view holding
+    its spectra (forms._with_spectra), dropped when the call returns; the
+    data keep no spectrum.  The closedness norms and the residuals are L2
+    norms of half spectra by Parseval (a residual subtracts the view's
+    spectra from those of T Z or T* Z), so the solve makes no inverse
+    transform.  The scale norm and the mean-free check read the samples.
     """
     _check_spectral(spec)
     # (datum, name, adjoint): F is checked and reconstructed through T and
@@ -301,6 +307,7 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
 
     info = {}
     rhs = None
+    views = []      # (the datum's spectral view, adjoint) for the residuals
     for X, name, adjoint in data:
         step, co = (-1, "co") if adjoint else (1, "")
         if (X.n, X.N, X.q) != (n, N, q + step):
@@ -317,7 +324,7 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
             raise ValueError(f"{name} must be mean free")
         piece = _apply(spec, spectral, adjoint=not adjoint)
         rhs = piece if rhs is None else rhs + piece
-    del spectral
+        views.append((spectral, adjoint))
 
     # modes where sigma vanishes (the zero mode, and Nyquist modes that
     # every multiplier drops) are mapped to 0
@@ -333,10 +340,9 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
         coeffs[lab] = GridField.from_spectrum(n, P, out)
     Z = Form(n, N, q, coeffs, "grid", P)
 
-    # X holds samples only, so the subtraction runs on samples
-    for X, _, adjoint in data:
-        info["residual_Tstar" if adjoint else "residual_T"] = lp_norm(
-            _apply(spec, Z, adjoint=adjoint) - X, 2)
+    for view, adjoint in views:
+        info["residual_Tstar" if adjoint else "residual_T"] = _l2_half_spectra(
+            _apply(spec, Z, adjoint=adjoint), minus=view)
     return Z, info
 
 

@@ -14,13 +14,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# sha256 of stdout, recorded before each grid input was transformed once
-# per call and the rotation probe built one phase table
+# sha256 of stdout, recorded when the rotation demo's Gaussian took
+# math.exp and hodge_solve its L2 norms by Parseval: the same bytes at
+# every numpy SIMD dispatch level
 DEMO_SHA256 = {
     "rotation_invariance.py":
-        "e157f68a41612cefdf1f67e32ef7be04c216b8145a4e5abcebb7f509f101668a",
+        "4e215dd70714400c93cce97f7e893a5457d910caedfae3222897c2596bd8310e",
     "hodge_inversion.py":
-        "b78c054d3df12cc96ae6cc39816bda5c5e0744da78a7c20ffba30eef48701f3f",
+        "997ee39363c6cbb7b81651b60781c6bc692e0a7de390715c8fed33bb27048bc1",
 }
 
 

@@ -5,11 +5,15 @@ call-local view (forms._with_spectra); invariance_defect builds one
 phase table for both of its pullbacks, half of it by conjugation
 (forms._grid_phases).  Each is compared by tobytes() with a reference
 built the plain way: _apply on the sample-only inputs, and the direct
-np.exp phase table.  Form subtraction works label by label and negates
-nothing; GridField a - b gives the bits of a + (-b).
+np.exp phase table.  hodge_solve's closedness norms and residuals are
+Parseval sums over half spectra; the reference writes that sum out in
+numpy and checks it against the sample-domain norms it replaced.  Form
+subtraction works label by label and negates nothing; GridField a - b
+gives the bits of a + (-b).
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -18,9 +22,11 @@ import pytest
 from divcurl.forms import (
     Form,
     _grid_phases,
+    _l2_lp,
     _pullback,
     _with_spectra,
     lp_norm,
+    partial,
     pullback_linear,
     sample_form,
 )
@@ -57,21 +63,39 @@ def _data(seed, q, P, with_F, with_G):
     return F, G
 
 
+def _parseval_l2(spectra, n, P):
+    """L2 norm of real P^n grid fields from their rfftn half spectra, in
+    order: mean(f^2) = P^(-2n) sum w |S|^2 with w = 1 on the last axis's
+    columns 0 and P/2 and 2 elsewhere."""
+    total = 0.0
+    for sp in spectra:
+        sq = sp.real * sp.real + sp.imag * sp.imag
+        total += (2.0 * np.sum(sq[..., 1:-1]) + np.sum(sq[..., 0])
+                  + np.sum(sq[..., -1]))
+    return math.sqrt(total) / P ** n
+
+
 def _reference_hodge_solve(spec, q, F, G):
-    """hodge_solve with every apply run on the sample-only data."""
-    info, rhs = {}, None
+    """hodge_solve with every apply run on the sample-only data and its
+    norms summed over half spectra in numpy; also the norms the same
+    applies give on samples (the route the Parseval sums replaced)."""
+    info, on_samples, rhs = {}, {}, None
     data = [(X, name, adjoint) for X, name, adjoint
             in ((F, "F", False), (G, "G", True)) if X is not None]
+    P = data[0][0].P
     for X, name, adjoint in data:
         co = "co" if adjoint else ""
         scale = max(lp_norm(X, 2), 1e-30)
-        info[f"{co}closedness_{name}"] = lp_norm(
-            _apply(spec, X, adjoint=adjoint), 2) / scale
+        closure = _apply(spec, X, adjoint=adjoint)
+        labs = sorted(closure.coeffs)
+        info[f"{co}closedness_{name}"] = _parseval_l2(
+            [closure.coeffs[lab].spectrum() for lab in labs], spec.n, P) / scale
+        on_samples[f"{co}closedness_{name}"] = _l2_lp(
+            [closure.coeffs[lab].samples for lab in labs], 2) / scale
         info[f"mean_{name}"] = max(
             (abs(float(c.mean())) for c in X.coeffs.values()), default=0.0)
         piece = _apply(spec, X, adjoint=not adjoint)
         rhs = piece if rhs is None else rhs + piece
-    P = data[0][0].P
     sig = scalar_symbol_array(spec, P)
     coeffs = {}
     for lab in labels(spec.N, q):
@@ -81,9 +105,14 @@ def _reference_hodge_solve(spec, q, F, G):
                 sp, sig, out=np.zeros_like(sp), where=sig > 0))
     Z = Form(spec.n, spec.N, q, coeffs, "grid", P)
     for X, _, adjoint in data:
-        info["residual_Tstar" if adjoint else "residual_T"] = lp_norm(
-            _apply(spec, Z, adjoint=adjoint) - X, 2)
-    return Z, info
+        key = "residual_Tstar" if adjoint else "residual_T"
+        TZ = _apply(spec, Z, adjoint=adjoint)
+        info[key] = _parseval_l2([
+            (TZ.coeffs[lab].spectrum() if lab in TZ.coeffs else 0.0)
+            - (np.fft.rfftn(X.coeffs[lab].samples) if lab in X.coeffs else 0.0)
+            for lab in sorted(TZ.coeffs.keys() | X.coeffs.keys())], spec.n, P)
+        on_samples[key] = lp_norm(TZ - X, 2)
+    return Z, info, on_samples
 
 
 @pytest.mark.parametrize("P", [16, 32])
@@ -96,11 +125,19 @@ def _reference_hodge_solve(spec, q, F, G):
 def test_hodge_solve_matches_plain_applies_bitwise(P, q, with_F, with_G):
     F, G = _data(10 * q + P, q, P, with_F, with_G)
     Z, info = hodge_solve(SPEC, q, F=F, G=G)
-    Z_ref, info_ref = _reference_hodge_solve(SPEC, q, F, G)
+    Z_ref, info_ref, on_samples = _reference_hodge_solve(SPEC, q, F, G)
     assert _bytes(Z) == _bytes(Z_ref)
     assert sorted(info) == sorted(info_ref)
     for key, value in info.items():
         assert np.float64(value).tobytes() == np.float64(info_ref[key]).tobytes(), key
+    # Parseval moves only rounding: each norm is the sample-domain one to
+    # 1e-13 of its datum's L2 norm (the closedness keys are relative to it)
+    for X, closedness, residual in ((F, "closedness_F", "residual_T"),
+                                    (G, "coclosedness_G", "residual_Tstar")):
+        if X is not None:
+            assert abs(info[closedness] - on_samples[closedness]) <= 1e-13
+            assert abs(info[residual] - on_samples[residual]) \
+                <= 1e-13 * lp_norm(X, 2)
 
 
 @pytest.mark.parametrize("P", [16, 32])
@@ -170,17 +207,26 @@ def test_invariance_defect_matches_the_direct_table_bitwise(q, theta):
         _bytes(_pullback(F, A, phases))
 
 
-@pytest.fixture
-def rfftn_calls(monkeypatch):
+def _count_calls(monkeypatch, name):
     calls = []
-    original = np.fft.rfftn
+    original = getattr(np.fft, name)
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "rfftn", counted)
+    monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+@pytest.fixture
+def rfftn_calls(monkeypatch):
+    return _count_calls(monkeypatch, "rfftn")
+
+
+@pytest.fixture
+def irfftn_calls(monkeypatch):
+    return _count_calls(monkeypatch, "irfftn")
 
 
 def _no_spectra(*forms):
@@ -192,12 +238,56 @@ def _no_spectra(*forms):
                                                (1, False, True),
                                                (1, True, True),
                                                (2, True, True)])
-def test_hodge_solve_transforms_each_datum_once(rfftn_calls, q, with_F, with_G):
+def test_hodge_solve_transforms_each_datum_once(rfftn_calls, irfftn_calls,
+                                               q, with_F, with_G):
+    """One rfftn per datum label and no inverse transform: the norms are
+    Parseval sums over half spectra."""
     F, G = _data(q, q, 16, with_F, with_G)
     hodge_solve(SPEC, q, F=F, G=G)
     expected = sum(len(X.coeffs) for X in (F, G) if X is not None)
     assert len(rfftn_calls) == expected
+    assert irfftn_calls == []
     assert _no_spectra(F, G)
+
+
+def _spectral_outputs(n, P):
+    """Spectrum-only grid forms over random samples (Nyquist content
+    included): on n = 1, which has no operator spec, the partials
+    d, d^2, d^3; above it T, T*, box and the hodge_solve potential of a
+    k = 1 spec (odd-order multipliers, zeroed at P/2) and a k = 2 one."""
+    rng = np.random.default_rng(10 * n + P)
+
+    def noise(N, q):
+        return Form(n, N, q, {lab: GridField(n, P, rng.normal(size=(P,) * n))
+                              for lab in labels(N, q)}, "grid", P)
+
+    if n == 1:
+        H = noise(1, 0)
+        return [partial(H, (order,)) for order in (1, 2, 3)]
+    out = []
+    for spec in (spec_for(n, 1, 1), spec_for(n, 2, 1, "diagonal")):
+        for q in range(spec.N + 1):
+            H = noise(spec.N, q)
+            if q + spec.ell <= spec.N:
+                out.append(_apply(spec, H, adjoint=False))
+                # a second T H: hodge_solve reads its datum's samples
+                out.append(hodge_solve(spec, q, F=_apply(spec, H, False))[0])
+            if q >= spec.ell:
+                out.append(_apply(spec, H, adjoint=True))
+            out.append(box_apply(spec, H))
+    return [F for F in out if F.coeffs]
+
+
+@pytest.mark.parametrize("P", [2, 4, 16, 32])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_parseval_norm_equals_the_sample_norm(irfftn_calls, n, P):
+    for F in _spectral_outputs(n, P):
+        assert all(c._samples is None for c in F.coeffs.values())
+        del irfftn_calls[:]
+        got = lp_norm(F, 2)
+        assert irfftn_calls == []
+        ref = _l2_lp([F.coeffs[lab].samples for lab in sorted(F.coeffs)], 2)
+        assert abs(got - ref) <= 1e-13 * ref, (F, got, ref)
 
 
 @pytest.mark.parametrize("q", range(SPEC.N + 1))
