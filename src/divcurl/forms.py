@@ -194,15 +194,15 @@ def zero_form(n, N, q, backend="trig", P=None) -> Form:
 
 
 def _with_spectra(F: Form) -> Form:
-    """F for a call that transforms it more than once: each grid
-    coefficient becomes a view sharing its samples and holding its half
-    spectrum (one rfftn per label).  F itself keeps no spectrum, so the
-    caller drops the view when done.  Exact forms come back unchanged."""
+    """F for a call that transforms it more than once: a grid form whose
+    coefficients hold their half spectra, one rfftn per sample-held label
+    (a spectrum-held one shares its array).  F is not changed.  Exact
+    forms come back unchanged."""
     if F.backend != "grid":
         return F
     return Form(F.n, F.N, F.q,
-                {lab: c._with_spectrum() for lab, c in F.coeffs.items()},
-                "grid", F.P)
+                {lab: GridField.from_spectrum(F.n, F.P, c.spectrum())
+                 for lab, c in F.coeffs.items()}, "grid", F.P)
 
 
 # ---- calculus ---------------------------------------------------------------
@@ -345,10 +345,9 @@ def lp_norm(F: Form, p, P=None) -> float:
 
     Exactly band-limited integrands (p = 2) are integrated exactly by the
     grid mean once the resolution clears twice the bandwidth; other p are
-    quadratures on an oversampled grid.  The L2 norm of a grid form is read
-    off the half spectra by Parseval, with no inverse transform, when the
-    coefficients are in the domain GridField's + would work in: each holds
-    a spectrum and at least one lacks its samples.  Other grid forms sum
+    quadratures on an oversampled grid.  The L2 norm of a grid form whose
+    coefficients all hold spectra (the rule of GridField's +) is read off
+    them by Parseval, with no inverse transform.  Other grid forms sum
     their samples.
     """
     if p < 1:

@@ -1,38 +1,26 @@
 """Real sample grids on the torus with spectral calculus.
 
 A GridField is a real float64 function on the uniform P^n grid of
-[0, 2pi)^n with P a power of two.  It holds its samples, its half
-spectrum (numpy's rfftn layout: the last axis runs over frequencies
-0..P/2 only, the rest being fixed by conjugate symmetry), or both:
+[0, 2pi)^n with P a power of two.  It holds exactly one array, fixed
+when it is built: its samples, or its half spectrum (numpy's rfftn
+layout: the last axis runs over frequencies 0..P/2 only, the rest being
+fixed by conjugate symmetry) when built by from_spectrum, as every
+derivative, operator output and spectral solve is.  samples and
+spectrum() compute the other representation when asked and never keep
+it, so a field's values and bits depend only on how it was built.
 
-* spectrum() returns the half spectrum, computing rfftn if the field
-  holds none;
-* a field built by from_spectrum, as every derivative, operator output
-  and spectral solve is, computes its samples by irfftn when they are
-  first read and keeps them after that.  Chained spectral operators
-  therefore never return to samples in between;
-* a field built from samples does not keep its forward transform.
-  Inputs are often held for a whole computation and transformed only a
-  few times; keeping their spectra would double the memory they hold.
-  A call that transforms the same input more than once works on a
-  call-local view instead (_with_spectrum): a second field that shares
-  the input's frozen samples and holds their half spectrum, computed
-  once and dropped with the view.  The input itself still keeps none.
-
-Derivatives are Fourier multipliers on the half spectrum.  +, negation
-and scale work on spectra when every operand has one and at least one
-lacks samples, and on samples otherwise.  a - b takes the domain of
-a + (-b): spectra when b holds only a spectrum and a holds one, samples
-otherwise (so b holding both means samples).  The L2 norm of a grid form
-(forms.lp_norm) follows the rule of +: it sums the half spectra by
-Parseval when every coefficient has one and at least one lacks samples,
-with no inverse transform.  Pointwise products, the mean (the normalized
-integral) and every other norm read samples.  Arrays are marked
-read-only; all operations return new fields.
+Derivatives are Fourier multipliers on the half spectrum.  +, -,
+negation and scale work on spectra when every operand holds a spectrum
+and on samples otherwise; the L2 norm of a grid form (forms.lp_norm)
+follows the same rule, summing half spectra by Parseval with no inverse
+transform.  Pointwise products, the mean (the normalized integral) and
+every other norm read samples.  Held arrays are marked read-only; all
+operations return new fields.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -97,11 +85,9 @@ def _deriv_multiplier(n: int, P: int, alpha: tuple) -> np.ndarray:
 
 
 def _spectral(*fields) -> bool:
-    """Whether +, negation or scale on fields (and forms.lp_norm's L2 norm
-    of them) runs on their half spectra: each carries one and at least one
-    would need an inverse transform."""
-    return (all(f._spectrum is not None for f in fields)
-            and any(f._samples is None for f in fields))
+    """Whether +, -, negation or scale on fields (and forms.lp_norm's L2
+    norm of them) runs on their half spectra: each holds one."""
+    return all(f._spectrum is not None for f in fields)
 
 
 class GridField:
@@ -119,8 +105,7 @@ class GridField:
 
     @classmethod
     def from_spectrum(cls, n: int, P: int, sp: np.ndarray) -> "GridField":
-        """The field with rfftn half spectrum sp; its samples are computed
-        when first read."""
+        """The field holding the rfftn half spectrum sp."""
         _check_P(P)
         sp = np.asarray(sp, dtype=complex)
         if sp.shape != _half_shape(n, P):
@@ -138,30 +123,19 @@ class GridField:
 
     @property
     def samples(self) -> np.ndarray:
-        if self._samples is None:
-            shape = (self.P,) * self.n
-            self._samples = _frozen(np.fft.irfftn(
-                self._spectrum, s=shape, axes=tuple(range(self.n))))
-        return self._samples
+        """The samples; transformed afresh (and not kept) when the field
+        holds its spectrum."""
+        if self._samples is not None:
+            return self._samples
+        return np.fft.irfftn(self._spectrum, s=(self.P,) * self.n,
+                             axes=tuple(range(self.n)))
 
     def spectrum(self) -> np.ndarray:
         """The rfftn half spectrum; transformed afresh (and not kept) when
-        the field was built from samples."""
+        the field holds its samples."""
         if self._spectrum is not None:
             return self._spectrum
         return np.fft.rfftn(self._samples)
-
-    def _with_spectrum(self) -> "GridField":
-        """This field as a view holding both its samples (the same frozen
-        array) and its half spectrum, at one rfftn when it has none; self
-        is not changed, so the spectrum lives only as long as the view."""
-        if self._spectrum is not None:
-            return self
-        view = GridField.__new__(GridField)
-        view.n, view.P = self.n, self.P
-        view._samples = self._samples
-        view._spectrum = _frozen(np.fft.rfftn(self._samples))
-        return view
 
     def _like(self, samples):
         return GridField(self.n, self.P, samples)
@@ -173,23 +147,19 @@ class GridField:
         if self.n != other.n or self.P != other.P:
             raise ValueError("grid mismatch")
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         if not isinstance(other, GridField):
             return NotImplemented
         self._check_compat(other)
         if _spectral(self, other):
-            return self._like_spectrum(self._spectrum + other._spectrum)
-        return self._like(self.samples + other.samples)
+            return self._like_spectrum(op(self._spectrum, other._spectrum))
+        return self._like(op(self.samples, other.samples))
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        if not isinstance(other, GridField):
-            return NotImplemented
-        self._check_compat(other)
-        # the domain self + (-other) would take: -other is a bare spectrum
-        # only when other is
-        if other._samples is None and self._spectrum is not None:
-            return self._like_spectrum(self._spectrum - other._spectrum)
-        return self._like(self.samples - other.samples)
+        return self._combine(other, operator.sub)
 
     def __neg__(self):
         if _spectral(self):
@@ -228,7 +198,7 @@ class GridField:
         return not np.any(self.samples)
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.samples))) if self.samples.size else 0.0
+        return float(np.max(np.abs(self.samples)))
 
     def __repr__(self):
         return f"GridField(n={self.n}, P={self.P}, max|.|={self.max_abs():.3g})"

@@ -193,12 +193,13 @@ def gn_ratio(spec: OperatorSpec, u: Form, assume=None,
     Tu = _apply(spec, u, adjoint=False)
     Tsu = _apply(spec, u, adjoint=True)
     scale = lp_norm(u, 1)
-    if assume == "closed" and lp_norm(Tu, 1) > 1e-8 * max(scale, 1e-30):
+    Tu_1, Tsu_1 = lp_norm(Tu, 1), lp_norm(Tsu, 1)
+    if assume == "closed" and Tu_1 > 1e-8 * max(scale, 1e-30):
         raise ValueError("input is not closed: ||T u||_1 > 1e-8 ||u||_1")
-    if assume == "coclosed" and lp_norm(Tsu, 1) > 1e-8 * max(scale, 1e-30):
+    if assume == "coclosed" and Tsu_1 > 1e-8 * max(scale, 1e-30):
         raise ValueError("input is not coclosed: ||T* u||_1 > 1e-8 ||u||_1")
     num = sobolev_norm(u, spec.k - 1, n / (n - 1))
-    den = lp_norm(Tu, 1) + lp_norm(Tsu, 1)
+    den = Tu_1 + Tsu_1
     if den == 0:
         raise ValueError("degenerate probe (T u and T* u both vanish)")
     return num / den
@@ -286,12 +287,12 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
     measure their sampling defect.
 
     Each datum is transformed once per label: its closedness check, its
-    right-hand side term and its residual read one call-local view holding
-    its spectra (forms._with_spectra), dropped when the call returns; the
-    data keep no spectrum.  The closedness norms and the residuals are L2
-    norms of half spectra by Parseval (a residual subtracts the view's
-    spectra from those of T Z or T* Z), so the solve makes no inverse
-    transform.  The scale norm and the mean-free check read the samples.
+    right-hand side term and its residual read one spectrum-held copy of
+    it (forms._with_spectra); the data are not changed.  The closedness
+    norms and the residuals are L2 norms of half spectra by Parseval (a
+    residual subtracts the copy's spectra from those of T Z or T* Z), so
+    on sample-held data the solve makes no inverse transform.  The scale
+    norm and the mean-free check read the data as given.
     """
     _check_spectral(spec)
     # (datum, name, adjoint): F is checked and reconstructed through T and
@@ -307,7 +308,7 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
 
     info = {}
     rhs = None
-    views = []      # (the datum's spectral view, adjoint) for the residuals
+    copies = []     # (the datum's spectrum-held copy, adjoint) for the residuals
     for X, name, adjoint in data:
         step, co = (-1, "co") if adjoint else (1, "")
         if (X.n, X.N, X.q) != (n, N, q + step):
@@ -324,7 +325,7 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
             raise ValueError(f"{name} must be mean free")
         piece = _apply(spec, spectral, adjoint=not adjoint)
         rhs = piece if rhs is None else rhs + piece
-        views.append((spectral, adjoint))
+        copies.append((spectral, adjoint))
 
     # modes where sigma vanishes (the zero mode, and Nyquist modes that
     # every multiplier drops) are mapped to 0
@@ -340,9 +341,9 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
         coeffs[lab] = GridField.from_spectrum(n, P, out)
     Z = Form(n, N, q, coeffs, "grid", P)
 
-    for view, adjoint in views:
+    for spectral, adjoint in copies:
         info["residual_Tstar" if adjoint else "residual_T"] = _l2_half_spectra(
-            _apply(spec, Z, adjoint=adjoint), minus=view)
+            _apply(spec, Z, adjoint=adjoint), minus=spectral)
     return Z, info
 
 

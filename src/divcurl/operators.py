@@ -412,9 +412,8 @@ def box_apply(spec: OperatorSpec, H: Form) -> Form:
     """Hodge Laplacian T T* + T* T on H's space; a part whose intermediate
     degree does not exist contributes zero.
 
-    A grid H is transformed once per label: T* H and T H both read a
-    call-local view holding its spectra (forms._with_spectra), and H
-    itself keeps none."""
+    A grid H is transformed once per label: T* H and T H both read one
+    spectrum-held copy of it (forms._with_spectra), and H is not changed."""
     _check_space(spec, H)
     down, up = H.q >= spec.ell, H.q + spec.ell <= H.N
     if not (down or up):

@@ -167,7 +167,8 @@ def rational_sphere_point(u):
 
 def ellipticity_scan(spec, q, source=False, samples=40, seed=0) -> dict:
     """Probe the symbol over coordinate axes, the diagonal direction and
-    random rational sphere points; report the worst quotient seen.
+    random rational sphere points, each direction once; report the worst
+    quotient seen.
 
     Exact zeros of the quotient are reported as witnesses (the scan
     proves degeneracy when it finds one; it only suggests ellipticity
@@ -186,7 +187,7 @@ def ellipticity_scan(spec, q, source=False, samples=40, seed=0) -> dict:
     for _ in range(samples):
         u = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n - 1)]
         pt = rational_sphere_point(u)
-        if any(pt):
+        if pt not in dirs:
             dirs.append(pt)
     best = None
     worst = None

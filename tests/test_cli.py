@@ -100,12 +100,10 @@ def test_symbol_scan_reports_chained_degeneracy(capsys):
      "  degenerate directions found: 0\n"),
     (("symbol", "2", "3", "1", "--ordering", "chained", "--source",
       "--samples", "10"),
-     "ellipticity scan (q=0, source space, 13 directions):\n"
+     "ellipticity scan (q=0, source space, 9 directions):\n"
      "  min quotient 0 at xi=['0', '1']\n"
      "  max quotient 1\n"
-     "  degenerate directions found: 3\n"
-     "    witness xi=['0', '1']\n"
-     "    witness xi=['0', '1']\n"
+     "  degenerate directions found: 1\n"
      "    witness xi=['0', '1']\n"),
 ], ids=["matrix", "scan", "degenerate-scan"])
 def test_symbol_text_is_exact(capsys, argv, text):
@@ -155,9 +153,10 @@ GOLDEN_SHA256 = {
     # functions: a source tensor with entries and a source scan with labels
     ("laplacian", "3", "2", "2", "--q", "1", "--source"):
         "4b45f7379650a19c4841e9cd39266fc54bf0aeb272310cc685a1ebabfb872d36",
+    # re-recorded when the scan stopped testing a direction twice
     ("symbol", "2", "3", "1", "--ordering", "chained", "--source",
      "--samples", "10", "--seed", "1"):
-        "7de948205bc46ba6d4be3910747c91778c16792a84a533f00d8522bb0d9355bb",
+        "786fa57ac99b20b5ec64ce2d82d664076b7987319348b03d5ba359d3ba5379f2",
     # recorded before the exact apply ran on integer numerators and the
     # exact pairing and comparisons stopped building throwaway polynomials
     ("verify",):

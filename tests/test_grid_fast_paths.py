@@ -1,7 +1,7 @@
 """The grid fast paths give the bits of the plain routes they replace.
 
 hodge_solve and box_apply transform each input once per call through a
-call-local view (forms._with_spectra); invariance_defect builds one
+spectrum-held copy (forms._with_spectra); invariance_defect builds one
 phase table for both of its pullbacks, half of it by conjugation
 (forms._grid_phases).  Each is compared by tobytes() with a reference
 built the plain way: _apply on the sample-only inputs, and the direct
@@ -9,7 +9,8 @@ np.exp phase table.  hodge_solve's closedness norms and residuals are
 Parseval sums over half spectra; the reference writes that sum out in
 numpy and checks it against the sample-domain norms it replaced.  Form
 subtraction works label by label and negates nothing; GridField a - b
-gives the bits of a + (-b).
+gives the bits of a + (-b).  What a spectrum-held form gives does not
+depend on whether its samples were read before.
 """
 
 import itertools
@@ -250,28 +251,28 @@ def test_hodge_solve_transforms_each_datum_once(rfftn_calls, irfftn_calls,
     assert _no_spectra(F, G)
 
 
+def _noise(rng, n, N, q, P):
+    """A sample-held grid q-form of standard normal noise on every label."""
+    return Form(n, N, q, {lab: GridField(n, P, rng.normal(size=(P,) * n))
+                          for lab in labels(N, q)}, "grid", P)
+
+
 def _spectral_outputs(n, P):
     """Spectrum-only grid forms over random samples (Nyquist content
     included): on n = 1, which has no operator spec, the partials
     d, d^2, d^3; above it T, T*, box and the hodge_solve potential of a
     k = 1 spec (odd-order multipliers, zeroed at P/2) and a k = 2 one."""
     rng = np.random.default_rng(10 * n + P)
-
-    def noise(N, q):
-        return Form(n, N, q, {lab: GridField(n, P, rng.normal(size=(P,) * n))
-                              for lab in labels(N, q)}, "grid", P)
-
     if n == 1:
-        H = noise(1, 0)
+        H = _noise(rng, 1, 1, 0, P)
         return [partial(H, (order,)) for order in (1, 2, 3)]
     out = []
     for spec in (spec_for(n, 1, 1), spec_for(n, 2, 1, "diagonal")):
         for q in range(spec.N + 1):
-            H = noise(spec.N, q)
+            H = _noise(rng, n, spec.N, q, P)
             if q + spec.ell <= spec.N:
-                out.append(_apply(spec, H, adjoint=False))
-                # a second T H: hodge_solve reads its datum's samples
-                out.append(hodge_solve(spec, q, F=_apply(spec, H, False))[0])
+                TH = _apply(spec, H, adjoint=False)
+                out += [TH, hodge_solve(spec, q, F=TH)[0]]
             if q >= spec.ell:
                 out.append(_apply(spec, H, adjoint=True))
             out.append(box_apply(spec, H))
@@ -298,31 +299,53 @@ def test_box_apply_transforms_its_input_once(rfftn_calls, q):
     assert _no_spectra(H)
 
 
-def test_with_spectra_view_shares_samples_and_leaves_the_input_alone(rfftn_calls):
+def test_with_spectra_copies_hold_spectra_and_leave_the_input_alone(rfftn_calls):
     F, _ = _data(3, 1, 16, True, False)
-    view = _with_spectra(F)
+    before = _bytes(F)
+    copy = _with_spectra(F)
     assert len(rfftn_calls) == len(F.coeffs)
     for lab, c in F.coeffs.items():
-        v = view.coeffs[lab]
-        assert v.samples is c.samples
-        assert np.array_equal(v._spectrum, np.fft.rfftn(c.samples))
-    assert _no_spectra(F)
-    # a view already holds its spectra; an exact form has none to hold
-    assert all(v2 is v for v2, v in zip(_with_spectra(view).coeffs.values(),
-                                        view.coeffs.values()))
+        held = copy.coeffs[lab]
+        assert held._samples is None
+        assert held._spectrum.tobytes() == np.fft.rfftn(c.samples).tobytes()
+    assert _no_spectra(F) and _bytes(F) == before
+    # a spectrum-held form is copied with no transform, sharing its arrays;
+    # an exact form has none to hold
+    del rfftn_calls[:]
+    again = _with_spectra(copy)
+    assert rfftn_calls == []
+    assert all(again.coeffs[lab]._spectrum is c._spectrum
+               for lab, c in copy.coeffs.items())
     exact = random_trig_form(random.Random(3), SPEC.n, SPEC.N, 1)
     assert _with_spectra(exact) is exact
 
 
+def test_spectral_form_results_do_not_depend_on_sample_reads():
+    """lp_norm(F, 2), F + G, F - G and -F of spectrum-held forms (T of
+    noise at every degree) give the same bytes before and after the
+    samples of every field are read."""
+    rng = np.random.default_rng(16)
+    P = 16
+    for q in range(SPEC.N - SPEC.ell + 1):
+        F, G = (_apply(SPEC, _noise(rng, SPEC.n, SPEC.N, q, P), adjoint=False)
+                for _ in range(2))
+
+        def results():
+            return ([np.float64(lp_norm(F, 2)).tobytes()]
+                    + [_bytes(X) for X in (F + G, F - G, -F)])
+
+        before = results()
+        for c in [*F.coeffs.values(), *G.coeffs.values()]:
+            c.samples
+        assert results() == before, q
+
+
 def _field(state, seed, P=16):
-    """A field holding its samples, its spectrum, or both."""
+    """A field holding its samples or its spectrum."""
     x = np.random.default_rng(seed).normal(size=(P, P))
     if state == "samples":
         return GridField(2, P, x)
-    field = GridField.from_spectrum(2, P, np.fft.rfftn(x))
-    if state == "both":
-        field.samples
-    return field
+    return GridField.from_spectrum(2, P, np.fft.rfftn(x))
 
 
 def test_hodge_solve_negates_nothing_and_minus_is_plus_negative(monkeypatch):
@@ -341,7 +364,7 @@ def test_hodge_solve_negates_nothing_and_minus_is_plus_negative(monkeypatch):
         F, G = _data(q, q, 16, with_F, with_G)
         hodge_solve(SPEC, q, F=F, G=G)
     assert negated == []
-    states = ("samples", "spectrum", "both")
+    states = ("samples", "spectrum")
     for left, right in itertools.product(states, repeat=2):
         got = _field(left, 1) - _field(right, 2)
         ref = _field(left, 1) + (-_field(right, 2))

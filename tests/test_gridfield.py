@@ -1,5 +1,7 @@
 """Float grid backend: spectral derivatives and their conventions."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -88,8 +90,8 @@ def test_mean_and_arithmetic():
 
 
 def test_half_spectrum_fields():
-    """Operator outputs carry the rfftn half spectrum and read samples
-    lazily; sample-built inputs keep no forward transform."""
+    """Operator outputs carry the rfftn half spectrum and compute samples
+    on each read; sample-built inputs keep no forward transform."""
     rng = np.random.default_rng(2)
     f = GridField(2, 16, rng.normal(size=(16, 16)))
     sp = f.spectrum()
@@ -97,7 +99,9 @@ def test_half_spectrum_fields():
     g = GridField.from_spectrum(2, 16, sp)
     assert g._samples is None
     assert np.max(np.abs(g.samples - f.samples)) < 1e-14
-    assert g.samples is g.samples
+    first = g.samples
+    assert g._samples is None
+    assert first.tobytes() == g.samples.tobytes()
     d, e = f.diff_alpha((1, 0)), f.diff_alpha((0, 1))
     for out, want in [(d + e, lambda: d.samples + e.samples),
                       (d - e, lambda: d.samples - e.samples),
@@ -108,6 +112,43 @@ def test_half_spectrum_fields():
     assert np.max(np.abs((d - f).samples - (d.samples - f.samples))) < 1e-13
     with pytest.raises(ValueError):
         GridField.from_spectrum(2, 16, np.zeros((16, 16), dtype=complex))
+
+
+def _held(state, x):
+    if state == "samples":
+        return GridField(2, 16, x)
+    return GridField.from_spectrum(2, 16, np.fft.rfftn(x))
+
+
+@pytest.mark.parametrize("left, right",
+                         itertools.product(("samples", "spectrum"), repeat=2))
+def test_a_field_holds_exactly_one_array_after_every_call(left, right):
+    """Reading the other representation keeps nothing, and every result
+    holds one array too: + and - hold spectra when both operands do."""
+    rng = np.random.default_rng(4)
+    f = _held(left, rng.normal(size=(16, 16)))
+    g = _held(right, rng.normal(size=(16, 16)))
+    calls = {
+        "samples": lambda: f.samples,
+        "spectrum": f.spectrum,
+        "+": lambda: f + g,
+        "-": lambda: f - g,
+        "negation": lambda: -f,
+        "scale": lambda: f.scale(2.5),
+        "diff_alpha": lambda: f.diff_alpha((1, 2)),
+        "mean": f.mean,
+        "max_abs": f.max_abs,
+    }
+    for name, call in calls.items():
+        out = call()
+        assert (f._samples is None, g._samples is None) == \
+            (left == "spectrum", right == "spectrum"), name
+        for field in (f, g, out):
+            if isinstance(field, GridField):
+                assert (field._samples is None) != (field._spectrum is None), name
+    both = left == right == "spectrum"
+    for out in (f + g, f - g):
+        assert (out._spectrum is not None) == both
 
 
 def test_int_freqs_layout():

@@ -150,6 +150,8 @@ def test_ellipticity_scan_deterministic_and_witnessed():
     assert r1["degenerate_witnesses"]
     wit = r1["degenerate_witnesses"][0]
     assert Fraction(wit[0]) == 0  # the degeneracy sits on the xi_1 = 0 wall
+    # a sphere point on an axis already tested is not tested again
+    assert r1["degenerate_witnesses"] == [("0", "1")]
     diag = ellipticity_scan(spec_for(2, 2, 1, "diagonal"), 0, source=True,
                             samples=30, seed=5)
     assert diag["min_quotient"] >= Fraction(1, 2)
