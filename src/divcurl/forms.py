@@ -292,22 +292,18 @@ def inner_product_wedge(F: Form, G: Form):
 
 
 def _auto_P(F: Form) -> int:
-    """Oversampled power-of-two resolution for quadrature of |.|^p."""
+    """Oversampled resolution for quadrature of |.|^p: the least power of
+    two >= max(32, 4 (B + 1)) for the bandwidth B."""
     B = max((c.max_freq() for c in F.coeffs.values()), default=1)
-    target = max(32, 4 * (B + 1))
-    P = 32
-    while P < target:
-        P *= 2
-    return P
+    return max(32, 1 << (4 * B + 3).bit_length())
 
 
 def _samples(F: Form, P=None) -> list:
-    """Sample arrays of the coefficients, in label order."""
-    labs = sorted(F.coeffs)
-    if F.backend == "grid":
-        return [F.coeffs[lab].samples for lab in labs]
-    P = P or _auto_P(F)
-    return [F.coeffs[lab].sample(P) for lab in labs]
+    """Sample arrays of the coefficients, in label order; an exact form is
+    sampled at P, by default on the grid its bandwidth picks."""
+    if F.backend == "trig":
+        F = sample_form(F, P or _auto_P(F))
+    return [F.coeffs[lab].samples for lab in sorted(F.coeffs)]
 
 
 def _l2_lp(comps, p) -> float:
@@ -340,12 +336,12 @@ def _l2_half_spectra(F: Form, minus: Form = None) -> float:
     return math.sqrt(total) / F.P ** F.n
 
 
-def lp_norm(F: Form, p, P=None) -> float:
+def lp_norm(F: Form, p) -> float:
     """Lp norm of the pointwise little-l2 magnitude of the component vector.
 
-    Exactly band-limited integrands (p = 2) are integrated exactly by the
-    grid mean once the resolution clears twice the bandwidth; other p are
-    quadratures on an oversampled grid.  The L2 norm of a grid form whose
+    An exact form is sampled on the grid its bandwidth picks (_auto_P;
+    for another, pass sample_form(F, P)): p = 2 is integrated exactly
+    there, other p are quadratures.  The L2 norm of a grid form whose
     coefficients all hold spectra (the rule of GridField's +) is read off
     them by Parseval, with no inverse transform.  Other grid forms sum
     their samples.
@@ -354,10 +350,10 @@ def lp_norm(F: Form, p, P=None) -> float:
         raise ValueError("p must be >= 1")
     if p == 2 and F.backend == "grid" and _spectral(*F.coeffs.values()):
         return _l2_half_spectra(F)
-    return _l2_lp(_samples(F, P), p)
+    return _l2_lp(_samples(F), p)
 
 
-def sobolev_norm(F: Form, a, p, P=None) -> float:
+def sobolev_norm(F: Form, a, p) -> float:
     """W^{a,p} norm: p-sum of per-component Lp norms of all partials of
     order up to a in the source variables."""
     if a < 0:
@@ -365,17 +361,15 @@ def sobolev_norm(F: Form, a, p, P=None) -> float:
     total = 0.0
     for s in range(a + 1):
         for beta in multiindices(F.n, s):
-            for comp in _samples(partial(F, beta), P):
+            for comp in _samples(partial(F, beta)):
                 total += float(np.mean(np.abs(comp) ** p))
     return total ** (1.0 / p)
 
 
-def grad_lp_norm(F: Form, p, P=None) -> float:
+def grad_lp_norm(F: Form, p) -> float:
     """Lp norm of the full first derivative array, aggregated pointwise in
     little-l2 over both the component and the differentiation axis."""
-    if F.backend == "trig":
-        # one grid for every partial: F's bandwidth bounds each of theirs
-        P = P or _auto_P(F)
+    P = _auto_P(F) if F.backend == "trig" else None  # every partial on F's grid
     comps = []
     for axis in range(F.n):
         e = tuple(1 if t == axis else 0 for t in range(F.n))
@@ -515,10 +509,11 @@ def _fourier_eval(field: GridField, phases) -> np.ndarray:
 
 
 def sample_form(F: Form, P: int) -> Form:
-    """Sample an exact form onto the P grid."""
+    """An exact form on the P grid, holding TrigPoly.half_spectrum(P)."""
     if F.backend != "trig":
         raise ValueError("sample_form expects a TrigPoly-backed form")
-    out = {lab: GridField(F.n, P, c.sample(P)) for lab, c in F.coeffs.items()}
+    out = {lab: GridField.from_spectrum(F.n, P, c.half_spectrum(P))
+           for lab, c in F.coeffs.items()}
     return Form(F.n, F.N, F.q, out, "grid", P)
 
 

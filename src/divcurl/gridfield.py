@@ -5,17 +5,17 @@ A GridField is a real float64 function on the uniform P^n grid of
 when it is built: its samples, or its half spectrum (numpy's rfftn
 layout: the last axis runs over frequencies 0..P/2 only, the rest being
 fixed by conjugate symmetry) when built by from_spectrum, as every
-derivative, operator output and spectral solve is.  samples and
+sampled exact form, derivative, operator output and solve is.  samples and
 spectrum() compute the other representation when asked and never keep
 it, so a field's values and bits depend only on how it was built.
 
 Derivatives are Fourier multipliers on the half spectrum.  +, -,
-negation and scale work on spectra when every operand holds a spectrum
-and on samples otherwise; the L2 norm of a grid form (forms.lp_norm)
-follows the same rule, summing half spectra by Parseval with no inverse
-transform.  Pointwise products, the mean (the normalized integral) and
-every other norm read samples.  Held arrays are marked read-only; all
-operations return new fields.
+negation, scale and the mean (the normalized integral: coefficient 0
+over P^n) work on spectra when every operand holds a spectrum and on
+samples otherwise; the L2 norm of a grid form (forms.lp_norm) follows
+the same rule, summing half spectra by Parseval with no inverse
+transform.  Pointwise products and every other norm read samples.  Held
+arrays are marked read-only; all operations return new fields.
 """
 
 from __future__ import annotations
@@ -192,7 +192,9 @@ class GridField:
         return self._like_spectrum(self.spectrum() * mult)
 
     def mean(self) -> float:
-        return float(self.samples.mean())
+        if self._spectrum is not None:
+            return float(self._spectrum[(0,) * self.n].real) / self.P ** self.n
+        return float(self._samples.mean())
 
     def is_zero(self) -> bool:
         return not np.any(self.samples)

@@ -289,10 +289,9 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
     Each datum is transformed once per label: its closedness check, its
     right-hand side term and its residual read one spectrum-held copy of
     it (forms._with_spectra); the data are not changed.  The closedness
-    norms and the residuals are L2 norms of half spectra by Parseval (a
-    residual subtracts the copy's spectra from those of T Z or T* Z), so
-    on sample-held data the solve makes no inverse transform.  The scale
-    norm and the mean-free check read the data as given.
+    norms and the residuals are Parseval sums over half spectra, and the
+    mean of a spectrum-held datum is its coefficient 0, so the solve
+    makes no inverse transform.
     """
     _check_spectral(spec)
     # (datum, name, adjoint): F is checked and reconstructed through T and
@@ -456,6 +455,8 @@ def _positive_numbers(value) -> bool:
         for x in value)
 
 
+# log2 of the largest probe grid P^n: 32 MiB a field, above every probe run
+_MAX_PROBE_NODES_LOG2 = 22
 # probe keys whose values are checked up front: (test, what the value must be)
 _VALUE_RULES = {
     **{key: (_is_int, "an integer") for key in ("n", "k", "ell", "q")},
@@ -481,8 +482,8 @@ def _bump_width_ok(width: float, P: int) -> bool:
 
 def _resolve_probe(kind, entry) -> tuple:
     """(spec, P) of one probe entry, after each check its probe would meet
-    later: labels() for the degree, hodge_solve's ell and the degree of
-    its datum T phi, gn_ratio's degrees."""
+    later: the size of its grid, labels() for the degree, hodge_solve's
+    ell and the degree of its datum T phi, gn_ratio's degrees."""
     missing = [key for key in _PROBES[kind][1] if key not in entry]
     if missing:
         raise ValueError(f"missing required keys {missing}")
@@ -491,6 +492,9 @@ def _resolve_probe(kind, entry) -> tuple:
             raise ValueError(f"{key} must be {what}")
     P = entry.get("P", _PROBES[kind][2])
     _check_P(P)
+    if entry["n"] * (P.bit_length() - 1) > _MAX_PROBE_NODES_LOG2:
+        raise ValueError(f"a grid of P^n = {P}^{entry['n']} nodes is above "
+                         f"the limit of 2^{_MAX_PROBE_NODES_LOG2}")
     for sigma in entry.get("sigma_range", ()):
         for lam in entry.get("lams", [1.0]):
             width = float(sigma) * float(lam)

@@ -257,9 +257,7 @@ class TrigPoly:
         return not self.terms
 
     def max_freq(self) -> int:
-        return max((max(abs(f) for f in freq) if freq else 0
-                    for (freq, _), _ in ((k, v) for k, v in self.terms.items())),
-                   default=0)
+        return max((abs(f) for freq, _ in self.terms for f in freq), default=0)
 
     def __eq__(self, other):
         return (
@@ -282,25 +280,26 @@ class TrigPoly:
 
     # ---- sampling -------------------------------------------------------
 
-    def sample(self, P: int) -> np.ndarray:
-        """Evaluate on the uniform P^n grid of [0, 2pi)^n.
-
-        Frequencies are folded modulo P into a discrete spectrum and
-        inverted with the FFT, which agrees with pointwise evaluation at
-        the grid nodes (including any aliasing when P is too small)."""
-        spec = np.zeros((P,) * self.n, dtype=complex)
+    def half_spectrum(self, P: int) -> np.ndarray:
+        """The rfftn half spectrum of the samples on the uniform P^n grid:
+        each term's e^{+-iw.x} at w folded modulo P (pointwise aliasing),
+        times the power of two P^n / 2, on the last axis's columns 0..P/2;
+        only Fraction -> float and the sums of folded terms round."""
+        spec = np.zeros((P,) * (self.n - 1) + (P // 2 + 1,), dtype=complex)
+        scale = P ** self.n / 2
         for (freq, phase), coeff in self.terms.items():
-            c = float(coeff)
-            idx_p = tuple(f % P for f in freq)
-            idx_m = tuple((-f) % P for f in freq)
-            if phase == COS:
-                spec[idx_p] += 0.5 * c
-                spec[idx_m] += 0.5 * c
-            else:
-                spec[idx_p] += -0.5j * c
-                spec[idx_m] += 0.5j * c
-        vals = np.fft.ifftn(spec) * (P ** self.n)
-        return np.ascontiguousarray(vals.real)
+            # the e^{iw.x} coefficient; e^{-iw.x} takes its conjugate
+            c = float(coeff) * scale * (1 if phase == COS else -1j)
+            for sign, value in ((1, c), (-1, c.conjugate())):
+                idx = tuple(sign * f % P for f in freq)
+                if idx[-1] <= P // 2:
+                    spec[idx] += value
+        return spec
+
+    def sample(self, P: int) -> np.ndarray:
+        """Values at the nodes of the uniform P^n grid of [0, 2pi)^n."""
+        return np.fft.irfftn(self.half_spectrum(P), s=(P,) * self.n,
+                             axes=tuple(range(self.n)))
 
     def eval_at(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at arbitrary points, shape (..., n)."""

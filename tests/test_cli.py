@@ -449,6 +449,12 @@ def test_version_flag(capsys):
                  {"kind": "hodge", "n": 2, "k": 2, "ell": 1, "q": 4,
                   "ordering": "diagonal"}]},
      "probe 1 (hodge): label degree 4 out of range 0..3"),
+    # it raised numpy's _ArrayMemoryError ("Unable to allocate 512. GiB")
+    ({"probes": [{"kind": "classical_gn", "n": 2},
+                 {"kind": "duality", "n": 3, "k": 1, "q": 1, "P": 4096,
+                  "sigma_range": [0.25, 0.4]}]},
+     "probe 1 (duality): a grid of P^n = 4096^3 nodes is above the limit "
+     "of 2^22"),
 ])
 def test_ineq_malformed_config_is_a_one_line_error(capsys, tmp_path, config,
                                                    message):

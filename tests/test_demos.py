@@ -15,13 +15,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 # sha256 of stdout, recorded when the rotation demo's Gaussian took
-# math.exp and hodge_solve its L2 norms by Parseval: the same bytes at
-# every numpy SIMD dispatch level
+# math.exp, hodge_solve its L2 norms by Parseval and sample_form its
+# placed half spectra: the same bytes at every numpy SIMD dispatch level
 DEMO_SHA256 = {
     "rotation_invariance.py":
         "4e215dd70714400c93cce97f7e893a5457d910caedfae3222897c2596bd8310e",
     "hodge_inversion.py":
-        "997ee39363c6cbb7b81651b60781c6bc692e0a7de390715c8fed33bb27048bc1",
+        "eaefc00eaf208190bebc89a62487e04374fc9479354cce95c2aef4f9891e0aa6",
 }
 
 

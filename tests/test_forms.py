@@ -10,6 +10,8 @@ import pytest
 
 from divcurl.forms import (
     Form,
+    _auto_P,
+    _samples,
     form_max_abs,
     grad_lp_norm,
     hodge_star,
@@ -158,10 +160,10 @@ def test_norm_frozen_values():
     assert abs(grad_lp_norm(F, 2) - 1 / math.sqrt(2)) < 1e-12
     # |cos| has kinks, so the L1 quadrature converges like P**-2
     err_default = abs(lp_norm(F, 1) - 2 / math.pi)
-    err_fine = abs(lp_norm(F, 1, P=512) - 2 / math.pi)
+    err_fine = abs(lp_norm(sample_form(F, 512), 1) - 2 / math.pi)
     assert err_default < 5e-3
     assert err_fine < 1e-4 and err_fine < err_default / 50
-    assert abs(grad_lp_norm(F, 1, P=512) - 2 / math.pi) < 1e-4
+    assert abs(grad_lp_norm(sample_form(F, 512), 1) - 2 / math.pi) < 1e-4
 
 
 def test_grad_norm_of_exact_form_samples_one_grid():
@@ -172,13 +174,18 @@ def test_grad_norm_of_exact_form_samples_one_grid():
 
 
 def test_norms_agree_across_backends():
-    """At matched resolution both backends run the same quadrature sums."""
+    """At matched resolution both backends run the same quadrature sums:
+    an exact form's norms on the grid its bandwidth picks (32 here), and
+    those of the grid form sampled at that P, whose partials are
+    spectral."""
     rng = random.Random(12)
     F = random_trig_form(rng, 2, 3, 1, components=3)
-    Fg = sample_form(F, 64)
+    P = 32
+    assert _auto_P(F) == P
+    Fg = sample_form(F, P)
     for p in (1, 2, 3):
-        assert abs(lp_norm(F, p, P=64) - lp_norm(Fg, p)) < 1e-12
-    assert abs(sobolev_norm(F, 1, 1.5, P=64) - sobolev_norm(Fg, 1, 1.5)) < 1e-11
+        assert abs(lp_norm(F, p) - lp_norm(Fg, p)) < 1e-12
+    assert abs(sobolev_norm(F, 1, 1.5) - sobolev_norm(Fg, 1, 1.5)) < 1e-11
 
 
 def test_partial_and_zero_form():
@@ -328,3 +335,26 @@ def test_sampling_commutes_with_arithmetic():
     lhs = sample_form(F + G, P)
     rhs = sample_form(F, P) + sample_form(G, P)
     assert form_max_abs(lhs - rhs) < 1e-12
+
+
+def test_sample_form_places_spectra_with_no_transform(monkeypatch):
+    """Each coefficient of sample_form(F, P) holds TrigPoly.half_spectrum(P),
+    built with no FFT call; its samples are the bytes of TrigPoly.sample,
+    which the exact norms read (_samples)."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sample_form called an FFT")
+
+    rng = random.Random(21)
+    for n, N, q, P in [(1, 2, 1, 8), (2, 3, 1, 16), (3, 3, 2, 8)]:
+        F = random_trig_form(rng, n, N, q, components=2)
+        with monkeypatch.context() as patched:
+            for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn",
+                         "rfftn", "irfftn"):
+                patched.setattr(np.fft, name, forbidden)
+            Fg = sample_form(F, P)
+        assert Fg.coeffs.keys() == F.coeffs.keys()
+        for lab, c in Fg.coeffs.items():
+            assert c._samples is None
+            assert c._spectrum.tobytes() == F.coeffs[lab].half_spectrum(P).tobytes()
+        assert [c.samples.tobytes() for _, c in sorted(Fg.coeffs.items())] == \
+            [s.tobytes() for s in _samples(F, P)]

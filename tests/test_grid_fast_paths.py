@@ -29,7 +29,6 @@ from divcurl.forms import (
     lp_norm,
     partial,
     pullback_linear,
-    sample_form,
 )
 from divcurl.gridfield import GridField, grid_points
 from divcurl.inequalities import hodge_solve, scalar_symbol_array
@@ -51,6 +50,13 @@ def _bytes(F: Form) -> dict:
     return {lab: c.samples.tobytes() for lab, c in F.coeffs.items()}
 
 
+def _sampled(F: Form, P) -> Form:
+    """The exact form F on the P grid, each coefficient holding its samples
+    (sample_form's coefficients hold their spectra)."""
+    return Form(F.n, F.N, F.q, {lab: GridField(F.n, P, poly.sample(P))
+                                for lab, poly in F.coeffs.items()}, "grid", P)
+
+
 def _data(seed, q, P, with_F, with_G):
     """Sampled closed F = T phi of degree q + 1 and coclosed G = T* psi of
     degree q - 1; both hold samples only."""
@@ -58,9 +64,9 @@ def _data(seed, q, P, with_F, with_G):
     n, N = SPEC.n, SPEC.N
     F = G = None
     if with_F:
-        F = sample_form(apply_T(SPEC, random_trig_form(rng, n, N, q)), P)
+        F = _sampled(apply_T(SPEC, random_trig_form(rng, n, N, q)), P)
     if with_G:
-        G = sample_form(apply_T_star(SPEC, random_trig_form(rng, n, N, q)), P)
+        G = _sampled(apply_T_star(SPEC, random_trig_form(rng, n, N, q)), P)
     return F, G
 
 
@@ -144,7 +150,7 @@ def test_hodge_solve_matches_plain_applies_bitwise(P, q, with_F, with_G):
 @pytest.mark.parametrize("P", [16, 32])
 @pytest.mark.parametrize("q", range(SPEC.N + 1))
 def test_box_apply_matches_plain_applies_bitwise(P, q):
-    H = sample_form(random_trig_form(random.Random(q + P), SPEC.n, SPEC.N, q), P)
+    H = _sampled(random_trig_form(random.Random(q + P), SPEC.n, SPEC.N, q), P)
     parts = []
     if q >= SPEC.ell:
         parts.append(_apply(SPEC, _apply(SPEC, H, adjoint=True), adjoint=False))
@@ -244,6 +250,7 @@ def test_hodge_solve_transforms_each_datum_once(rfftn_calls, irfftn_calls,
     """One rfftn per datum label and no inverse transform: the norms are
     Parseval sums over half spectra."""
     F, G = _data(q, q, 16, with_F, with_G)
+    del rfftn_calls[:], irfftn_calls[:]     # those of building the data
     hodge_solve(SPEC, q, F=F, G=G)
     expected = sum(len(X.coeffs) for X in (F, G) if X is not None)
     assert len(rfftn_calls) == expected
@@ -293,7 +300,7 @@ def test_parseval_norm_equals_the_sample_norm(irfftn_calls, n, P):
 
 @pytest.mark.parametrize("q", range(SPEC.N + 1))
 def test_box_apply_transforms_its_input_once(rfftn_calls, q):
-    H = sample_form(random_trig_form(random.Random(q), SPEC.n, SPEC.N, q), 16)
+    H = _sampled(random_trig_form(random.Random(q), SPEC.n, SPEC.N, q), 16)
     box_apply(SPEC, H)
     assert len(rfftn_calls) == len(H.coeffs)
     assert _no_spectra(H)

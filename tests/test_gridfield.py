@@ -151,5 +151,22 @@ def test_a_field_holds_exactly_one_array_after_every_call(left, right):
         assert (out._spectrum is not None) == both
 
 
+@pytest.mark.parametrize("n, P", [(1, 2), (1, 16), (2, 16), (3, 8)])
+def test_mean_of_a_spectrum_held_field_reads_coefficient_zero(monkeypatch, n, P):
+    """The mean of a spectrum-held field is its zero coefficient over P^n,
+    with no inverse transform, and matches the mean of its samples."""
+    x = np.random.default_rng(n * P).normal(size=(P,) * n) + 0.3
+    f = GridField.from_spectrum(n, P, np.fft.rfftn(x))
+    samples = f.samples
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mean() transformed the field")
+
+    monkeypatch.setattr(np.fft, "irfftn", forbidden)
+    assert f.mean() == float(f.spectrum()[(0,) * n].real) / P ** n
+    assert abs(f.mean() - samples.mean()) <= 1e-15
+    assert abs(f.mean() - x.mean()) <= 1e-15
+
+
 def test_int_freqs_layout():
     assert list(int_freqs(8)) == [0, 1, 2, 3, -4, -3, -2, -1]

@@ -124,6 +124,44 @@ def trigpolys(draw, n):
 
 
 @st.composite
+def placed_cases(draw):
+    """(poly, P) with n <= 3 and P = 2..32: frequencies up to 2P on every
+    axis, so terms alias (|f| >= P/2) and fold onto each other, and one
+    term on the last axis's Nyquist column."""
+    n = draw(st.integers(1, 3))
+    P = draw(st.sampled_from((2, 4, 8, 16, 32)))
+    freqs = st.integers(-2 * P, 2 * P)
+    waves = draw(st.lists(st.tuples(st.tuples(*[freqs] * n),
+                                    st.sampled_from((COS, SIN)), coefficients),
+                          max_size=5))
+    nyquist = draw(st.tuples(*[freqs] * (n - 1))) + (
+        draw(st.sampled_from((P // 2, -P // 2, 3 * P // 2))),)
+    waves.append((nyquist, draw(st.sampled_from((COS, SIN))), draw(coefficients)))
+    return TrigPoly(n, {(freq, phase): c for freq, phase, c in waves}), P
+
+
+@settings(FIXED, max_examples=300)
+@given(placed_cases())
+def test_half_spectrum_is_the_rfftn_of_the_samples(case):
+    """The placed half spectrum is a real field's rfftn layout: the rfftn
+    of its irfftn (sample) gives it back to a few ulps, and it is the
+    rfftn of the pointwise values at the nodes, aliasing included."""
+    poly, P = case
+    n = poly.n
+    placed = poly.half_spectrum(P)
+    assert placed.shape == (P,) * (n - 1) + (P // 2 + 1,)
+    scale = np.max(np.abs(placed), initial=0.0)
+    assert np.max(np.abs(np.fft.rfftn(poly.sample(P)) - placed)) \
+        <= 4 * np.finfo(float).eps * scale
+    axes = np.arange(P) * 2 * np.pi / P
+    mesh = np.stack(np.meshgrid(*([axes] * n), indexing="ij"), axis=-1)
+    direct = poly.eval_at(mesh.reshape(-1, n)).reshape((P,) * n)
+    total = sum(abs(float(c)) for c in poly.terms.values())
+    assert np.max(np.abs(np.fft.rfftn(direct) - placed)) \
+        <= 1e-13 * P ** n * total
+
+
+@st.composite
 def poly_pairs(draw):
     n = draw(st.integers(1, 4))
     return draw(trigpolys(n)), draw(trigpolys(n))
