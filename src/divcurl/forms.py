@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gridfield import GridField, _check_P, _spectral, grid_points
+from .gridfield import GridField, _check_P, grid_points
 from .multiindex import (
     complement,
     labels,
@@ -193,18 +193,6 @@ def zero_form(n, N, q, backend="trig", P=None) -> Form:
     return Form(n, N, q, {}, backend, P)
 
 
-def _with_spectra(F: Form) -> Form:
-    """F for a call that transforms it more than once: a grid form whose
-    coefficients hold their half spectra, one rfftn per sample-held label
-    (a spectrum-held one shares its array).  F is not changed.  Exact
-    forms come back unchanged."""
-    if F.backend != "grid":
-        return F
-    return Form(F.n, F.N, F.q,
-                {lab: GridField.from_spectrum(F.n, F.P, c.spectrum())
-                 for lab, c in F.coeffs.items()}, "grid", F.P)
-
-
 # ---- calculus ---------------------------------------------------------------
 
 
@@ -263,15 +251,16 @@ def wedge(F: Form, G: Form) -> Form:
 
 
 def inner_product(F: Form, G: Form):
-    """Label-wise pairing sum_I integral(F_I * G_I); exact on TrigPoly,
-    where each label pairs its terms (TrigPoly.mean_product) instead of
-    forming the product."""
+    """Label-wise pairing sum_I integral(F_I * G_I), each label pairing its
+    terms (TrigPoly.mean_product, exact) or its samples, without building
+    the product."""
     F._check_shape(G)
     exact = F.backend == "trig"
     total = Fraction(0) if exact else 0.0
     for lab in set(F.coeffs) & set(G.coeffs):
         f, g = F.coeffs[lab], G.coeffs[lab]
-        total += f.mean_product(g) if exact else (f * g).mean()
+        total += (f.mean_product(g) if exact
+                  else float(np.mean(f.samples * g.samples)))
     return total
 
 
@@ -341,14 +330,13 @@ def lp_norm(F: Form, p) -> float:
 
     An exact form is sampled on the grid its bandwidth picks (_auto_P;
     for another, pass sample_form(F, P)): p = 2 is integrated exactly
-    there, other p are quadratures.  The L2 norm of a grid form whose
-    coefficients all hold spectra (the rule of GridField's +) is read off
-    them by Parseval, with no inverse transform.  Other grid forms sum
-    their samples.
+    there, other p are quadratures.  The L2 norm of a grid form is read
+    off its half spectra by Parseval, with no inverse transform; other
+    grid norms sum samples.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if p == 2 and F.backend == "grid" and _spectral(*F.coeffs.values()):
+    if p == 2 and F.backend == "grid":
         return _l2_half_spectra(F)
     return _l2_lp(_samples(F), p)
 
@@ -496,11 +484,19 @@ def _fourier_eval(field: GridField, phases) -> np.ndarray:
     by separable mode summation; phases[axis] is the (M, P) table
     exp(i x_axis k) over k in fftfreq order.
 
-    This takes the full complex spectrum rather than the field's half
-    spectrum: off the grid the interpolant depends on where the Nyquist
-    mode sits, and fftn puts it at -P/2."""
+    The sum runs over the full spectrum, in fftn's layout, built from the
+    held half spectrum: columns -P/2+1..-1 of the last axis are conjugates
+    of columns P/2-1..1, each other axis indexed as -k mod P.  Off the grid
+    the interpolant depends on where the Nyquist mode sits; its column
+    stays at -P/2, where fftn puts it."""
     n, P = field.n, field.P
-    spec = np.fft.fftn(field.samples) / (P ** n)
+    h = P // 2
+    half = field.spectrum() / (P ** n)
+    spec = np.empty((P,) * n, dtype=complex)
+    spec[..., :h + 1] = half
+    flipped = -np.arange(P) % P
+    spec[..., h + 1:] = np.conj(
+        half[np.ix_(*[flipped] * (n - 1), np.arange(h - 1, 0, -1))])
     letters = "abcdefg"[:n]
     expr = ",".join(f"p{letters[axis]}" for axis in range(n))
     expr += f",{letters}->p"

@@ -1,21 +1,20 @@
 """Real sample grids on the torus with spectral calculus.
 
 A GridField is a real float64 function on the uniform P^n grid of
-[0, 2pi)^n with P a power of two.  It holds exactly one array, fixed
-when it is built: its samples, or its half spectrum (numpy's rfftn
-layout: the last axis runs over frequencies 0..P/2 only, the rest being
-fixed by conjugate symmetry) when built by from_spectrum, as every
-sampled exact form, derivative, operator output and solve is.  samples and
-spectrum() compute the other representation when asked and never keep
-it, so a field's values and bits depend only on how it was built.
+[0, 2pi)^n with P a power of two.  It holds exactly one array: its half
+spectrum, in numpy's rfftn layout (the last axis runs over frequencies
+0..P/2 only, the rest being fixed by conjugate symmetry).  A field built
+from samples transforms them once, when it is built; from_spectrum takes
+a half spectrum as it is, as every sampled exact form, derivative,
+operator output and solve does.  samples is an inverse transform on each
+read and is never kept.
 
 Derivatives are Fourier multipliers on the half spectrum.  +, -,
 negation, scale and the mean (the normalized integral: coefficient 0
-over P^n) work on spectra when every operand holds a spectrum and on
-samples otherwise; the L2 norm of a grid form (forms.lp_norm) follows
-the same rule, summing half spectra by Parseval with no inverse
-transform.  Pointwise products and every other norm read samples.  Held
-arrays are marked read-only; all operations return new fields.
+over P^n) work on half spectra, and so does the L2 norm of a grid form
+(forms.lp_norm), a Parseval sum with no inverse transform.  Pointwise
+products and every other norm read samples.  Held arrays are marked
+read-only; all operations return new fields.
 """
 
 from __future__ import annotations
@@ -84,24 +83,18 @@ def _deriv_multiplier(n: int, P: int, alpha: tuple) -> np.ndarray:
     return mult
 
 
-def _spectral(*fields) -> bool:
-    """Whether +, -, negation or scale on fields (and forms.lp_norm's L2
-    norm of them) runs on their half spectra: each holds one."""
-    return all(f._spectrum is not None for f in fields)
-
-
 class GridField:
-    __slots__ = ("n", "P", "_samples", "_spectrum")
+    __slots__ = ("n", "P", "_spectrum")
 
     def __init__(self, n: int, P: int, samples: np.ndarray):
+        """The field with these samples, held as their rfftn."""
         _check_P(P)
         samples = np.asarray(samples, dtype=float)
         if samples.shape != (P,) * n:
             raise ValueError(f"expected shape {(P,) * n}, got {samples.shape}")
         self.n = n
         self.P = P
-        self._samples = _frozen(samples)
-        self._spectrum = None
+        self._spectrum = _frozen(np.fft.rfftn(samples))
 
     @classmethod
     def from_spectrum(cls, n: int, P: int, sp: np.ndarray) -> "GridField":
@@ -113,32 +106,22 @@ class GridField:
         field = cls.__new__(cls)
         field.n = n
         field.P = P
-        field._samples = None
         field._spectrum = _frozen(sp)
         return field
 
     @classmethod
     def zero(cls, n, P):
-        return cls(n, P, np.zeros((P,) * n))
+        return cls.from_spectrum(n, P, np.zeros(_half_shape(n, P), dtype=complex))
 
     @property
     def samples(self) -> np.ndarray:
-        """The samples; transformed afresh (and not kept) when the field
-        holds its spectrum."""
-        if self._samples is not None:
-            return self._samples
+        """The samples, transformed afresh (and not kept) on each read."""
         return np.fft.irfftn(self._spectrum, s=(self.P,) * self.n,
                              axes=tuple(range(self.n)))
 
     def spectrum(self) -> np.ndarray:
-        """The rfftn half spectrum; transformed afresh (and not kept) when
-        the field holds its samples."""
-        if self._spectrum is not None:
-            return self._spectrum
-        return np.fft.rfftn(self._samples)
-
-    def _like(self, samples):
-        return GridField(self.n, self.P, samples)
+        """The held rfftn half spectrum."""
+        return self._spectrum
 
     def _like_spectrum(self, sp):
         return GridField.from_spectrum(self.n, self.P, sp)
@@ -151,9 +134,7 @@ class GridField:
         if not isinstance(other, GridField):
             return NotImplemented
         self._check_compat(other)
-        if _spectral(self, other):
-            return self._like_spectrum(op(self._spectrum, other._spectrum))
-        return self._like(op(self.samples, other.samples))
+        return self._like_spectrum(op(self._spectrum, other._spectrum))
 
     def __add__(self, other):
         return self._combine(other, operator.add)
@@ -162,19 +143,15 @@ class GridField:
         return self._combine(other, operator.sub)
 
     def __neg__(self):
-        if _spectral(self):
-            return self._like_spectrum(-self._spectrum)
-        return self._like(-self._samples)
+        return self._like_spectrum(-self._spectrum)
 
     def scale(self, factor):
-        if _spectral(self):
-            return self._like_spectrum(self._spectrum * float(factor))
-        return self._like(self._samples * float(factor))
+        return self._like_spectrum(self._spectrum * float(factor))
 
     def __mul__(self, other):
         if isinstance(other, GridField):
             self._check_compat(other)
-            return self._like(self.samples * other.samples)
+            return GridField(self.n, self.P, self.samples * other.samples)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -189,15 +166,13 @@ class GridField:
         if all(a == 0 for a in alpha):
             return self
         mult = _deriv_multiplier(self.n, self.P, alpha)
-        return self._like_spectrum(self.spectrum() * mult)
+        return self._like_spectrum(self._spectrum * mult)
 
     def mean(self) -> float:
-        if self._spectrum is not None:
-            return float(self._spectrum[(0,) * self.n].real) / self.P ** self.n
-        return float(self._samples.mean())
+        return float(self._spectrum[(0,) * self.n].real) / self.P ** self.n
 
     def is_zero(self) -> bool:
-        return not np.any(self.samples)
+        return not np.any(self._spectrum)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.samples)))

@@ -33,7 +33,6 @@ from . import __version__
 from .forms import (
     Form,
     _l2_half_spectra,
-    _with_spectra,
     grad_lp_norm,
     inner_product,
     lp_norm,
@@ -286,12 +285,9 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
     sampled data are exactly closed/coclosed on the grid and otherwise
     measure their sampling defect.
 
-    Each datum is transformed once per label: its closedness check, its
-    right-hand side term and its residual read one spectrum-held copy of
-    it (forms._with_spectra); the data are not changed.  The closedness
-    norms and the residuals are Parseval sums over half spectra, and the
-    mean of a spectrum-held datum is its coefficient 0, so the solve
-    makes no inverse transform.
+    Every step reads the data's held half spectra: the closedness norms
+    and the residuals are Parseval sums over them and each mean is a
+    coefficient 0, so the solve makes no FFT call.
     """
     _check_spectral(spec)
     # (datum, name, adjoint): F is checked and reconstructed through T and
@@ -307,24 +303,21 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
 
     info = {}
     rhs = None
-    copies = []     # (the datum's spectrum-held copy, adjoint) for the residuals
     for X, name, adjoint in data:
         step, co = (-1, "co") if adjoint else (1, "")
         if (X.n, X.N, X.q) != (n, N, q + step):
             raise ValueError(f"{name} must be a hybrid (q{step:+d})-form")
         scale = max(lp_norm(X, 2), 1e-30)
         key = f"{co}closedness_{name}"
-        spectral = _with_spectra(X)
-        info[key] = lp_norm(_apply(spec, spectral, adjoint=adjoint), 2) / scale
+        info[key] = lp_norm(_apply(spec, X, adjoint=adjoint), 2) / scale
         if info[key] > closed_tol:
             raise ValueError(f"{name} is not {co}closed to the requested tolerance")
         info[f"mean_{name}"] = max((abs(float(c.mean())) for c in X.coeffs.values()),
                                    default=0.0)
         if info[f"mean_{name}"] > closed_tol * scale:
             raise ValueError(f"{name} must be mean free")
-        piece = _apply(spec, spectral, adjoint=not adjoint)
+        piece = _apply(spec, X, adjoint=not adjoint)
         rhs = piece if rhs is None else rhs + piece
-        copies.append((spectral, adjoint))
 
     # modes where sigma vanishes (the zero mode, and Nyquist modes that
     # every multiplier drops) are mapped to 0
@@ -340,9 +333,9 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
         coeffs[lab] = GridField.from_spectrum(n, P, out)
     Z = Form(n, N, q, coeffs, "grid", P)
 
-    for spectral, adjoint in copies:
+    for X, _, adjoint in data:
         info["residual_Tstar" if adjoint else "residual_T"] = _l2_half_spectra(
-            _apply(spec, Z, adjoint=adjoint), minus=spectral)
+            _apply(spec, Z, adjoint=adjoint), minus=X)
     return Z, info
 
 

@@ -85,7 +85,6 @@ from .forms import (
     Form,
     _pullback,
     _pullback_plan,
-    _with_spectra,
     form_max_abs,
     hodge_star,
     lp_norm,
@@ -410,15 +409,12 @@ def tt_single_orientation(spec: OperatorSpec, F: Form) -> Form:
 
 def box_apply(spec: OperatorSpec, H: Form) -> Form:
     """Hodge Laplacian T T* + T* T on H's space; a part whose intermediate
-    degree does not exist contributes zero.
-
-    A grid H is transformed once per label: T* H and T H both read one
-    spectrum-held copy of it (forms._with_spectra), and H is not changed."""
+    degree does not exist contributes zero.  On the grid it makes no FFT
+    call: T* H and T H both read H's held half spectra."""
     _check_space(spec, H)
     down, up = H.q >= spec.ell, H.q + spec.ell <= H.N
     if not (down or up):
         return zero_form(H.n, H.N, H.q, H.backend, H.P)
-    H = _with_spectra(H)
     parts = []
     if down:
         parts.append(_apply(spec, _apply(spec, H, adjoint=True), adjoint=False))

@@ -161,10 +161,12 @@ GOLDEN_SHA256 = {
     # exact pairing and comparisons stopped building throwaway polynomials
     ("verify",):
         "9f173a37bc529987ac68d04a3393dd04a398595654f23529728ad43bff33f2c0",
-    # recorded when the bump lines took math.exp and hodge_solve its L2
-    # norms by Parseval: the same bytes at every numpy SIMD dispatch level
+    # recorded when the bump lines took math.exp, hodge_solve its L2
+    # norms by Parseval and every grid field held its half spectrum (a
+    # sampled bump reads back irfftn(rfftn(x))): the same bytes at every
+    # numpy SIMD dispatch level
     ("ineq",):
-        "5fd45a5bcc12f7f8b83b826b8a3d43909f3dafb5dab55595d429ff32392e6a8b",
+        "214e5d6a802b55e9ef11b1534fa46800f48b7b423a6eb527c022bf07bc668f26",
 }
 
 

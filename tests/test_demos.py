@@ -16,10 +16,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # sha256 of stdout, recorded when the rotation demo's Gaussian took
 # math.exp, hodge_solve its L2 norms by Parseval and sample_form its
-# placed half spectra: the same bytes at every numpy SIMD dispatch level
+# placed half spectra (the Hodge demo), and when every grid field held
+# its half spectrum and the pullback read it (the rotation demo): the
+# same bytes at every numpy SIMD dispatch level
 DEMO_SHA256 = {
     "rotation_invariance.py":
-        "4e215dd70714400c93cce97f7e893a5457d910caedfae3222897c2596bd8310e",
+        "6b2f83e93242e7189e44431c0f26a99d29cf7bdb3e41a200775061e15f8e9588",
     "hodge_inversion.py":
         "eaefc00eaf208190bebc89a62487e04374fc9479354cce95c2aef4f9891e0aa6",
 }

@@ -1,16 +1,17 @@
 """The grid fast paths give the bits of the plain routes they replace.
 
-hodge_solve and box_apply transform each input once per call through a
-spectrum-held copy (forms._with_spectra); invariance_defect builds one
-phase table for both of its pullbacks, half of it by conjugation
-(forms._grid_phases).  Each is compared by tobytes() with a reference
-built the plain way: _apply on the sample-only inputs, and the direct
-np.exp phase table.  hodge_solve's closedness norms and residuals are
-Parseval sums over half spectra; the reference writes that sum out in
-numpy and checks it against the sample-domain norms it replaced.  Form
-subtraction works label by label and negates nothing; GridField a - b
-gives the bits of a + (-b).  What a spectrum-held form gives does not
-depend on whether its samples were read before.
+hodge_solve and box_apply read their inputs' held half spectra and make
+no FFT call; invariance_defect builds one phase table for both of its
+pullbacks, half of it by conjugation (forms._grid_phases), and a grid
+pullback fills the full spectrum from the half spectrum by conjugate
+symmetry (forms._fourier_eval).  Each is compared with a reference
+built the plain way: _apply on the inputs, the direct np.exp phase
+table and the fftn of the samples.  hodge_solve's closedness norms and
+residuals are Parseval sums over half spectra; the reference writes that
+sum out in numpy and checks it against the sample-domain norms it
+replaced.  Form subtraction works label by label and negates nothing;
+GridField a - b gives the bits of a + (-b).  What a grid form gives does
+not depend on whether its samples were read before.
 """
 
 import itertools
@@ -22,10 +23,10 @@ import pytest
 
 from divcurl.forms import (
     Form,
+    _fourier_eval,
     _grid_phases,
     _l2_lp,
     _pullback,
-    _with_spectra,
     lp_norm,
     partial,
     pullback_linear,
@@ -51,15 +52,15 @@ def _bytes(F: Form) -> dict:
 
 
 def _sampled(F: Form, P) -> Form:
-    """The exact form F on the P grid, each coefficient holding its samples
-    (sample_form's coefficients hold their spectra)."""
+    """The exact form F on the P grid, each coefficient built from its
+    samples, one rfftn per label (sample_form places the spectra)."""
     return Form(F.n, F.N, F.q, {lab: GridField(F.n, P, poly.sample(P))
                                 for lab, poly in F.coeffs.items()}, "grid", P)
 
 
 def _data(seed, q, P, with_F, with_G):
     """Sampled closed F = T phi of degree q + 1 and coclosed G = T* psi of
-    degree q - 1; both hold samples only."""
+    degree q - 1; both built from samples."""
     rng = random.Random(seed)
     n, N = SPEC.n, SPEC.N
     F = G = None
@@ -83,8 +84,8 @@ def _parseval_l2(spectra, n, P):
 
 
 def _reference_hodge_solve(spec, q, F, G):
-    """hodge_solve with every apply run on the sample-only data and its
-    norms summed over half spectra in numpy; also the norms the same
+    """hodge_solve with every apply run on the data and its norms summed
+    over half spectra in numpy; also the norms the same
     applies give on samples (the route the Parseval sums replaced)."""
     info, on_samples, rhs = {}, {}, None
     data = [(X, name, adjoint) for X, name, adjoint
@@ -116,7 +117,7 @@ def _reference_hodge_solve(spec, q, F, G):
         TZ = _apply(spec, Z, adjoint=adjoint)
         info[key] = _parseval_l2([
             (TZ.coeffs[lab].spectrum() if lab in TZ.coeffs else 0.0)
-            - (np.fft.rfftn(X.coeffs[lab].samples) if lab in X.coeffs else 0.0)
+            - (X.coeffs[lab].spectrum() if lab in X.coeffs else 0.0)
             for lab in sorted(TZ.coeffs.keys() | X.coeffs.keys())], spec.n, P)
         on_samples[key] = lp_norm(TZ - X, 2)
     return Z, info, on_samples
@@ -188,6 +189,56 @@ def test_grid_phases_equal_the_direct_table(n, P):
             assert np.array_equal(g, r)
 
 
+def _fftn_eval(field, phases):
+    """The interpolant of field at the points of phases, summed over the
+    fftn of its samples."""
+    n, P = field.n, field.P
+    spec = np.fft.fftn(field.samples) / P ** n
+    letters = "abc"[:n]
+    expr = ",".join(f"p{letter}" for letter in letters) + f",{letters}->p"
+    return np.einsum(expr, *phases, spec).real
+
+
+def _nyquist_fields(n, P):
+    """Random samples, and on each axis j the wave cos(P/2 x_j + x_m), m the
+    next axis (none when n = 1): a field held wholly at the Nyquist
+    frequency of axis j."""
+    xs = grid_points(n, P)
+    rng = np.random.default_rng(100 * n + P)
+    yield GridField(n, P, rng.normal(size=(P,) * n))
+    for j in range(n):
+        other = xs[..., (j + 1) % n] if n > 1 else 0.0
+        yield GridField(n, P, np.cos(P // 2 * xs[..., j] + other))
+
+
+@pytest.mark.parametrize("P", [2, 4, 8, 16, 32])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fourier_eval_equals_the_fftn_evaluation(n, P):
+    """The full spectrum filled from the held half spectrum gives the
+    fftn route's values off the grid to 1e-14 relative, Nyquist mode
+    included."""
+    rng = np.random.default_rng(P + n)
+    points = rng.uniform(0.0, 2 * np.pi, size=(9, n))
+    ks = np.fft.fftfreq(P, d=1.0 / P)
+    phases = [np.exp(1j * np.outer(points[:, axis], ks)) for axis in range(n)]
+    for field in _nyquist_fields(n, P):
+        ref = _fftn_eval(field, phases)
+        got = _fourier_eval(field, phases)
+        assert got.shape == ref.shape == (9,)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n, P", [(1, 2), (1, 32), (2, 2), (2, 16), (3, 8)])
+def test_fourier_eval_under_the_identity_gives_the_samples(n, P):
+    """At the grid nodes the interpolant is the samples, up to the
+    rounding of exp(i x k) at arguments up to pi P: 4 P ulps."""
+    phases = _grid_phases(n, P, np.eye(n), np.zeros(n))
+    for field in _nyquist_fields(n, P):
+        got = _fourier_eval(field, phases).reshape((P,) * n)
+        assert np.max(np.abs(got - field.samples)) <= \
+            4 * P * np.finfo(float).eps * np.max(np.abs(field.samples))
+
+
 def _gaussian_form(q, P):
     spec = spec_for(2, 1, 1)
     xs = grid_points(2, P)
@@ -236,9 +287,10 @@ def irfftn_calls(monkeypatch):
     return _count_calls(monkeypatch, "irfftn")
 
 
-def _no_spectra(*forms):
-    return all(c._spectrum is None
-               for F in forms if F is not None for c in F.coeffs.values())
+def _held(*forms):
+    """The bytes of every coefficient's held half spectrum."""
+    return [c.spectrum().tobytes()
+            for F in forms if F is not None for c in F.coeffs.values()]
 
 
 @pytest.mark.parametrize("q, with_F, with_G", [(0, True, False),
@@ -247,36 +299,41 @@ def _no_spectra(*forms):
                                                (2, True, True)])
 def test_hodge_solve_transforms_each_datum_once(rfftn_calls, irfftn_calls,
                                                q, with_F, with_G):
-    """One rfftn per datum label and no inverse transform: the norms are
-    Parseval sums over half spectra."""
+    """Each datum label is transformed once, when the datum is built from
+    samples; the solve reads the held spectra and makes no transform:
+    its norms are Parseval sums over half spectra.  The data are not
+    changed."""
     F, G = _data(q, q, 16, with_F, with_G)
+    assert len(rfftn_calls) == sum(len(X.coeffs) for X in (F, G) if X is not None)
     del rfftn_calls[:], irfftn_calls[:]     # those of building the data
+    before = _held(F, G)
     hodge_solve(SPEC, q, F=F, G=G)
-    expected = sum(len(X.coeffs) for X in (F, G) if X is not None)
-    assert len(rfftn_calls) == expected
+    assert rfftn_calls == []
     assert irfftn_calls == []
-    assert _no_spectra(F, G)
+    assert _held(F, G) == before
 
 
 def _noise(rng, n, N, q, P):
-    """A sample-held grid q-form of standard normal noise on every label."""
+    """A grid q-form built from standard normal noise on every label."""
     return Form(n, N, q, {lab: GridField(n, P, rng.normal(size=(P,) * n))
                           for lab in labels(N, q)}, "grid", P)
 
 
-def _spectral_outputs(n, P):
-    """Spectrum-only grid forms over random samples (Nyquist content
-    included): on n = 1, which has no operator spec, the partials
-    d, d^2, d^3; above it T, T*, box and the hodge_solve potential of a
-    k = 1 spec (odd-order multipliers, zeroed at P/2) and a k = 2 one."""
+def _grid_forms(n, P):
+    """Grid forms built from random samples (Nyquist content included)
+    and the outputs computed from them: on n = 1, which has no operator
+    spec, the partials d, d^2, d^3; above it T, T*, box and the hodge_solve
+    potential of a k = 1 spec (odd-order multipliers, zeroed at P/2) and
+    a k = 2 one."""
     rng = np.random.default_rng(10 * n + P)
     if n == 1:
         H = _noise(rng, 1, 1, 0, P)
-        return [partial(H, (order,)) for order in (1, 2, 3)]
+        return [H] + [partial(H, (order,)) for order in (1, 2, 3)]
     out = []
     for spec in (spec_for(n, 1, 1), spec_for(n, 2, 1, "diagonal")):
         for q in range(spec.N + 1):
             H = _noise(rng, n, spec.N, q, P)
+            out.append(H)
             if q + spec.ell <= spec.N:
                 TH = _apply(spec, H, adjoint=False)
                 out += [TH, hodge_solve(spec, q, F=TH)[0]]
@@ -289,8 +346,7 @@ def _spectral_outputs(n, P):
 @pytest.mark.parametrize("P", [2, 4, 16, 32])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_parseval_norm_equals_the_sample_norm(irfftn_calls, n, P):
-    for F in _spectral_outputs(n, P):
-        assert all(c._samples is None for c in F.coeffs.values())
+    for F in _grid_forms(n, P):
         del irfftn_calls[:]
         got = lp_norm(F, 2)
         assert irfftn_calls == []
@@ -300,31 +356,15 @@ def test_parseval_norm_equals_the_sample_norm(irfftn_calls, n, P):
 
 @pytest.mark.parametrize("q", range(SPEC.N + 1))
 def test_box_apply_transforms_its_input_once(rfftn_calls, q):
+    """H is transformed once per label, when it is built from samples;
+    box_apply reads the held spectra and leaves them as they were."""
     H = _sampled(random_trig_form(random.Random(q), SPEC.n, SPEC.N, q), 16)
-    box_apply(SPEC, H)
     assert len(rfftn_calls) == len(H.coeffs)
-    assert _no_spectra(H)
-
-
-def test_with_spectra_copies_hold_spectra_and_leave_the_input_alone(rfftn_calls):
-    F, _ = _data(3, 1, 16, True, False)
-    before = _bytes(F)
-    copy = _with_spectra(F)
-    assert len(rfftn_calls) == len(F.coeffs)
-    for lab, c in F.coeffs.items():
-        held = copy.coeffs[lab]
-        assert held._samples is None
-        assert held._spectrum.tobytes() == np.fft.rfftn(c.samples).tobytes()
-    assert _no_spectra(F) and _bytes(F) == before
-    # a spectrum-held form is copied with no transform, sharing its arrays;
-    # an exact form has none to hold
     del rfftn_calls[:]
-    again = _with_spectra(copy)
+    before = _held(H)
+    box_apply(SPEC, H)
     assert rfftn_calls == []
-    assert all(again.coeffs[lab]._spectrum is c._spectrum
-               for lab, c in copy.coeffs.items())
-    exact = random_trig_form(random.Random(3), SPEC.n, SPEC.N, 1)
-    assert _with_spectra(exact) is exact
+    assert _held(H) == before
 
 
 def test_spectral_form_results_do_not_depend_on_sample_reads():
@@ -347,10 +387,10 @@ def test_spectral_form_results_do_not_depend_on_sample_reads():
         assert results() == before, q
 
 
-def _field(state, seed, P=16):
-    """A field holding its samples or its spectrum."""
+def _field(built, seed, P=16):
+    """A field built from samples or from their rfftn."""
     x = np.random.default_rng(seed).normal(size=(P, P))
-    if state == "samples":
+    if built == "samples":
         return GridField(2, P, x)
     return GridField.from_spectrum(2, P, np.fft.rfftn(x))
 
@@ -375,8 +415,5 @@ def test_hodge_solve_negates_nothing_and_minus_is_plus_negative(monkeypatch):
     for left, right in itertools.product(states, repeat=2):
         got = _field(left, 1) - _field(right, 2)
         ref = _field(left, 1) + (-_field(right, 2))
-        assert (got._samples is None) == (ref._samples is None), (left, right)
-        assert (got._spectrum is None) == (ref._spectrum is None), (left, right)
-        if got._spectrum is not None:
-            assert got._spectrum.tobytes() == ref._spectrum.tobytes()
+        assert got.spectrum().tobytes() == ref.spectrum().tobytes(), (left, right)
         assert got.samples.tobytes() == ref.samples.tobytes(), (left, right)
