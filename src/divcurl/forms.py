@@ -216,13 +216,18 @@ def partial(F: Form, alpha) -> Form:
                 F.backend, F.P)
 
 
+def _star_label(lab, N):
+    """The label the Hodge star sends lab's coefficient to, and its sign
+    epsilon^{I I'}."""
+    comp, sign = complement(lab, N)  # sign = epsilon^{I' I}
+    return comp, -sign if len(lab) * (N - len(lab)) % 2 else sign
+
+
 def hodge_star(F: Form) -> Form:
     """Hodge star: the I coefficient lands on I' with sign epsilon^{I I'}."""
     out = {}
     for lab, c in F.coeffs.items():
-        comp, sign = complement(lab, F.N)  # sign = epsilon^{I' I}
-        if (F.q * (F.N - F.q)) % 2:
-            sign = -sign
+        comp, sign = _star_label(lab, F.N)
         out[comp] = c.scale(sign) if sign != 1 else c
     return Form(F.n, F.N, F.N - F.q, out, F.backend, F.P)
 
@@ -306,23 +311,19 @@ def _l2_lp(comps, p) -> float:
     return float(np.mean(mag2 ** (p / 2.0)) ** (1.0 / p))
 
 
-def _l2_half_spectra(F: Form, minus: Form = None) -> float:
-    """L2 norm of the pointwise little-l2 magnitude of the grid form F, or
-    of F - minus, by Parseval on the coefficients' rfftn half spectra:
-    mean(f^2) = P^(-2n) sum w |S|^2, where w is 1 on the last axis's
-    columns 0 and P/2 and 2 on every other column.  Labels are summed in
-    sorted order, from elementwise squares and np.sum only (no BLAS), so
+def _l2_half_spectra(rows, n, P) -> float:
+    """L2 norm of the pointwise little-l2 magnitude of a P^n grid form
+    given as (label, rfftn half spectrum) rows in sorted label order, by
+    Parseval: mean(f^2) = P^(-2n) sum w |S|^2, w being 1 on the last
+    axis's columns 0 and P/2 and 2 on every other column.  Rows are summed
+    as they come, from elementwise squares and np.sum only (no BLAS), so
     the bits do not depend on numpy's SIMD dispatch."""
-    theirs = {} if minus is None else minus.coeffs
     total = 0.0
-    for lab in sorted(F.coeffs.keys() | theirs.keys()):
-        sp = F.coeffs[lab].spectrum() if lab in F.coeffs else 0.0
-        if lab in theirs:
-            sp = sp - theirs[lab].spectrum()
+    for _, sp in rows:
         sq = sp.real * sp.real + sp.imag * sp.imag
         total += (2.0 * np.sum(sq[..., 1:-1]) + np.sum(sq[..., 0])
                   + np.sum(sq[..., -1]))
-    return math.sqrt(total) / F.P ** F.n
+    return math.sqrt(total) / P ** n
 
 
 def lp_norm(F: Form, p) -> float:
@@ -337,7 +338,8 @@ def lp_norm(F: Form, p) -> float:
     if p < 1:
         raise ValueError("p must be >= 1")
     if p == 2 and F.backend == "grid":
-        return _l2_half_spectra(F)
+        return _l2_half_spectra(((lab, c.spectrum()) for lab, c
+                                 in sorted(F.coeffs.items())), F.n, F.P)
     return _l2_lp(_samples(F), p)
 
 
@@ -346,10 +348,15 @@ def sobolev_norm(F: Form, a, p) -> float:
     order up to a in the source variables."""
     if a < 0:
         raise ValueError("order must be non-negative")
+    return _sobolev_norm(F, a, p, _samples(F))
+
+
+def _sobolev_norm(F: Form, a, p, order0) -> float:
+    """sobolev_norm with F's own samples, order0, read already."""
     total = 0.0
     for s in range(a + 1):
         for beta in multiindices(F.n, s):
-            for comp in _samples(partial(F, beta)):
+            for comp in _samples(partial(F, beta)) if s else order0:
                 total += float(np.mean(np.abs(comp) ** p))
     return total ** (1.0 / p)
 

@@ -22,10 +22,14 @@ from the discrete closed/coclosed subspaces.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import sys
 from dataclasses import dataclass
+from functools import reduce
+from itertools import groupby
+from operator import add, itemgetter, sub
 
 import numpy as np
 
@@ -33,14 +37,16 @@ from . import __version__
 from .forms import (
     Form,
     _l2_half_spectra,
+    _l2_lp,
+    _samples,
+    _sobolev_norm,
     grad_lp_norm,
     inner_product,
     lp_norm,
-    sobolev_norm,
 )
 from .gridfield import GridField, _check_P, _deriv_multiplier, int_freqs
 from .multiindex import labels, multiindices
-from .operators import OperatorSpec, _apply, spec_for
+from .operators import OperatorSpec, _apply, _grid_rows, _table, spec_for
 
 __all__ = [
     "BumpSpec",
@@ -189,15 +195,15 @@ def gn_ratio(spec: OperatorSpec, u: Form, assume=None,
     n, q = spec.n, u.q
     if _excluded_degree(n, q) and assume is None and not allow_excluded:
         raise ValueError(EXCLUDED_NOTE)
-    Tu = _apply(spec, u, adjoint=False)
-    Tsu = _apply(spec, u, adjoint=True)
-    scale = lp_norm(u, 1)
-    Tu_1, Tsu_1 = lp_norm(Tu, 1), lp_norm(Tsu, 1)
+    Tu_1, Tsu_1 = (lp_norm(_apply(spec, u, adjoint=adjoint), 1)
+                   for adjoint in (False, True))
+    order0 = _samples(u)  # read once for ||u||_1 and the Sobolev norm
+    scale = _l2_lp(order0, 1)
     if assume == "closed" and Tu_1 > 1e-8 * max(scale, 1e-30):
         raise ValueError("input is not closed: ||T u||_1 > 1e-8 ||u||_1")
     if assume == "coclosed" and Tsu_1 > 1e-8 * max(scale, 1e-30):
         raise ValueError("input is not coclosed: ||T* u||_1 > 1e-8 ||u||_1")
-    num = sobolev_norm(u, spec.k - 1, n / (n - 1))
+    num = _sobolev_norm(u, spec.k - 1, n / (n - 1), order0)
     den = Tu_1 + Tsu_1
     if den == 0:
         raise ValueError("degenerate probe (T u and T* u both vanish)")
@@ -275,6 +281,14 @@ def _check_spectral(spec: OperatorSpec):
         raise ValueError("spectral inversion implemented for ell = 1")
 
 
+def _merged(combine, streams):
+    """Row streams in sorted label order merged label by label, a label's
+    rows combined in stream order; about one row per stream is held."""
+    rows = heapq.merge(*streams, key=itemgetter(0))
+    for lab, group in groupby(rows, key=itemgetter(0)):
+        yield lab, reduce(combine, (sp for _, sp in group))
+
+
 def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple:
     """Solve box Z = T* F + T G for the degree-q potential Z (ell = 1).
 
@@ -285,9 +299,12 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
     sampled data are exactly closed/coclosed on the grid and otherwise
     measure their sampling defect.
 
-    Every step reads the data's held half spectra: the closedness norms
-    and the residuals are Parseval sums over them and each mean is a
-    coefficient 0, so the solve makes no FFT call.
+    Every step reads the data's held half spectra, so the solve makes no
+    FFT call, and besides Z and the data holds a few output labels at a
+    time, never a whole intermediate form: the closedness norms and the
+    residuals are Parseval sums over the rows (operators._grid_rows) of
+    T X and T Z - X, each mean is a coefficient 0, and each label of
+    T* F + T G is divided into Z as it arrives.
     """
     _check_spectral(spec)
     # (datum, name, adjoint): F is checked and reconstructed through T and
@@ -302,40 +319,38 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
     n, N = spec.n, spec.N
 
     info = {}
-    rhs = None
     for X, name, adjoint in data:
         step, co = (-1, "co") if adjoint else (1, "")
         if (X.n, X.N, X.q) != (n, N, q + step):
             raise ValueError(f"{name} must be a hybrid (q{step:+d})-form")
         scale = max(lp_norm(X, 2), 1e-30)
         key = f"{co}closedness_{name}"
-        info[key] = lp_norm(_apply(spec, X, adjoint=adjoint), 2) / scale
+        info[key] = _l2_half_spectra(_grid_rows(X, *_table(spec, X, adjoint)),
+                                     n, P) / scale
         if info[key] > closed_tol:
             raise ValueError(f"{name} is not {co}closed to the requested tolerance")
         info[f"mean_{name}"] = max((abs(float(c.mean())) for c in X.coeffs.values()),
                                    default=0.0)
         if info[f"mean_{name}"] > closed_tol * scale:
             raise ValueError(f"{name} must be mean free")
-        piece = _apply(spec, X, adjoint=not adjoint)
-        rhs = piece if rhs is None else rhs + piece
 
-    # modes where sigma vanishes (the zero mode, and Nyquist modes that
-    # every multiplier drops) are mapped to 0
+    # the right-hand side T* F + T G, label by label; modes where sigma
+    # vanishes (the zero mode, and Nyquist modes that every multiplier
+    # drops) are mapped to 0
     sig = scalar_symbol_array(spec, P)
     mask = sig > 0
     coeffs = {}
-    for lab in labels(N, q):
-        c = rhs.coeffs.get(lab)
-        if c is None:
-            continue
-        spectrum = c.spectrum()
+    for lab, spectrum in _merged(add, [_grid_rows(X, *_table(spec, X, not adjoint))
+                                       for X, _, adjoint in data]):
         out = np.divide(spectrum, sig, out=np.zeros_like(spectrum), where=mask)
         coeffs[lab] = GridField.from_spectrum(n, P, out)
     Z = Form(n, N, q, coeffs, "grid", P)
 
+    # T Z - X by label; a label of X alone enters as X_I: |0 - X_I| = |X_I|
     for X, _, adjoint in data:
+        held = ((lab, c.spectrum()) for lab, c in sorted(X.coeffs.items()))
         info["residual_Tstar" if adjoint else "residual_T"] = _l2_half_spectra(
-            _apply(spec, Z, adjoint=adjoint), minus=X)
+            _merged(sub, [_grid_rows(Z, *_table(spec, Z, adjoint)), held]), n, P)
     return Z, info
 
 

@@ -32,16 +32,20 @@ width from _tensor_width, the one raise for a trivial source operator
 (n < ell), then read labels(width, q), which rejects a degree outside
 0..width, before any other work; a tensor carries that width.
 
-Every action runs through one table path: _apply picks the raising
+Every action runs through one table path: _table picks the raising
 table _t_table or the coordinate-adjoint table _tstar_table over labels
-in {1..F.N}, holds the single degree guard, and hands the table to
-_apply_table, which evaluates (I, alpha, OUT, sign) entries on either
-backend.  apply_T, apply_T_star_coordinate, box_apply,
-CoeffTensor.contract and tt_single_orientation all end there.  The
-tables are keyed by the label width, so when N == n the two spaces
-share them.  On exact forms _apply_table runs on integer numerators
-over one common denominator and builds one Fraction per output term;
-apply_T_star compares its two routes with Form ==, which is exact.
+in {1..F.N}, _apply holds the single degree guard, and _apply_table
+evaluates the (I, alpha, OUT, sign) entries on either backend.  apply_T,
+apply_T_star_coordinate, box_apply, CoeffTensor.contract and
+tt_single_orientation all end there.  The tables are keyed by the label
+width, so when N == n the two spaces share them.  On exact forms
+_apply_table runs on integer numerators over one common denominator and
+builds one Fraction per output term; apply_T_star compares its two
+routes with Form ==, which is exact.  The grid has one kernel,
+_grid_rows: it yields the output by output label, in sorted order, from
+the table grouped once by output label (_by_output).  A grid
+_apply_table is the dict of its rows; hodge_solve and the grid
+star-conjugate T* read the rows as they come.
 
 _t_table is the only enumeration of the raising coupling: the summation
 tensor, the real T o T (_tt_table) and the scalar dictionary (vs_reduction
@@ -78,6 +82,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -85,6 +91,7 @@ from .forms import (
     Form,
     _pullback,
     _pullback_plan,
+    _star_label,
     form_max_abs,
     hodge_star,
     lp_norm,
@@ -235,7 +242,9 @@ def _apply_table(F: Form, entries, out_q: int, width: int, overall=1) -> Form:
     Fraction over D at the end.
     """
     if F.backend == "grid":
-        return _apply_table_grid(F, entries, out_q, width, overall)
+        rows = _grid_rows(F, entries, overall)
+        return Form(F.n, width, out_q, {OUT: GridField.from_spectrum(F.n, F.P, sp)
+                                        for OUT, sp in rows}, "grid", F.P)
     n = F.n
     D = math.lcm(*(c.denominator for poly in F.coeffs.values()
                    for c in poly.terms.values()))
@@ -270,26 +279,39 @@ def _apply_table(F: Form, entries, out_q: int, width: int, overall=1) -> Form:
                  for OUT, out in acc.items()}, backend="trig")
 
 
-def _apply_table_grid(F: Form, entries, out_q, width, overall) -> Form:
-    n = F.n
-    P = F.P
-    spectra = {lab: c.spectrum() for lab, c in F.coeffs.items()}
-    acc = {}
-    for I, alpha, OUT, sign in entries:
-        sp = spectra.get(I)
-        if sp is None:
-            continue
-        # a fresh array, so it is scaled and accumulated in place
-        term = sp * _deriv_multiplier(n, P, tuple(alpha))
-        factor = sign * overall
-        if factor != 1:
-            term *= factor
-        if OUT in acc:
-            acc[OUT] += term
-        else:
-            acc[OUT] = term
-    coeffs = {OUT: GridField.from_spectrum(n, P, sp) for OUT, sp in acc.items()}
-    return Form(n, width, out_q, coeffs, "grid", P)
+@lru_cache(maxsize=None)
+def _by_output(entries: tuple) -> tuple:
+    """(OUT, entries of OUT) rows of a table, OUT sorted, each row in table
+    order; keyed on the entries, so a new or corrupted table is regrouped."""
+    return tuple((OUT, tuple(row)) for OUT, row in
+                 groupby(sorted(entries, key=itemgetter(2)), itemgetter(2)))
+
+
+def _grid_rows(F: Form, entries: tuple, overall=1):
+    """Yield (OUT, half spectrum) of a table on the grid form F, one output
+    label at a time in sorted order: sign * overall * d^alpha F_I summed
+    over OUT's entries in table order, each term a fresh array scaled and
+    added in place.  A label that reads no label of F is skipped."""
+    n, P = F.n, F.P
+    for OUT, row in _by_output(entries):
+        acc = None
+        for I, alpha, _, sign in row:
+            if I in F.coeffs:
+                term = F.coeffs[I].spectrum() * _deriv_multiplier(n, P, alpha)
+                if sign * overall != 1:
+                    term *= sign * overall
+                acc = term if acc is None else np.add(acc, term, out=acc)
+        if acc is not None:
+            yield OUT, acc
+
+
+def _table(spec: OperatorSpec, F: Form, adjoint: bool) -> tuple:
+    """(entries, overall) of T on F over labels {1..F.N}, or with
+    adjoint=True of its coordinate adjoint (no entries below degree ell)."""
+    if not adjoint:
+        return _t_table(spec, F.q, F.N), 1
+    entries = _tstar_table(spec, F.q, F.N) if F.q >= spec.ell else ()
+    return entries, (-1) ** spec.k
 
 
 def _apply(spec: OperatorSpec, F: Form, adjoint: bool) -> Form:
@@ -299,14 +321,11 @@ def _apply(spec: OperatorSpec, F: Form, adjoint: bool) -> Form:
     The one degree guard: an output degree outside 0..F.N gives the zero
     form at the nearest existing degree.
     """
-    width = F.N
     out_q = F.q - spec.ell if adjoint else F.q + spec.ell
-    if not 0 <= out_q <= width:
-        return zero_form(F.n, width, min(max(out_q, 0), width), F.backend, F.P)
-    if adjoint:
-        return _apply_table(F, _tstar_table(spec, F.q, width), out_q, width,
-                            overall=(-1) ** spec.k)
-    return _apply_table(F, _t_table(spec, F.q, width), out_q, width)
+    if not 0 <= out_q <= F.N:
+        return zero_form(F.n, F.N, min(max(out_q, 0), F.N), F.backend, F.P)
+    entries, overall = _table(spec, F, adjoint)
+    return _apply_table(F, entries, out_q, F.N, overall)
 
 
 # ---- the operators ---------------------------------------------------------
@@ -339,10 +358,23 @@ def apply_T_star_coordinate(spec: OperatorSpec, H: Form) -> Form:
 
 
 def _star_conjugate(spec, H) -> Form:
+    """(-1)^(k + q(H.N - ell - q)) star T star H, q the output degree.  On
+    the grid each row of T(star H) is multiplied in place by its star sign,
+    then the overall sign (as hodge_star and scale do), and lands on its
+    complement label, so T(star H) is never held whole."""
     q_out = H.q - spec.ell
     sign = (-1) ** (spec.k + q_out * (H.N - spec.ell - q_out))
-    mid = _apply(spec, hodge_star(H), adjoint=False)
-    return hodge_star(mid).scale(sign)
+    mid = hodge_star(H)
+    if H.backend == "trig":
+        return hodge_star(_apply(spec, mid, adjoint=False)).scale(sign)
+    coeffs = {}
+    for lab, sp in _grid_rows(mid, *_table(spec, mid, adjoint=False)):
+        comp, s = _star_label(lab, H.N)
+        if s != 1:
+            sp *= float(s)
+        sp *= float(sign)
+        coeffs[comp] = GridField.from_spectrum(H.n, H.P, sp)
+    return Form(H.n, H.N, q_out, coeffs, "grid", H.P)
 
 
 def apply_T_star(spec: OperatorSpec, H: Form) -> Form:
@@ -401,9 +433,9 @@ def tt_single_orientation(spec: OperatorSpec, F: Form) -> Form:
     if F.q + 2 * spec.ell > F.N:
         raise ValueError("no room for two degree raises at this q")
     rank = {alpha: i for i, alpha in enumerate(multiindices(spec.n, spec.k))}
-    half = [(I, tuple(x + y for x, y in zip(alpha, beta)), M, sign)
-            for I, alpha, beta, M, sign in _tt_table(spec, F.q, F.N)
-            if rank[alpha] < rank[beta]]
+    half = tuple((I, tuple(x + y for x, y in zip(alpha, beta)), M, sign)
+                 for I, alpha, beta, M, sign in _tt_table(spec, F.q, F.N)
+                 if rank[alpha] < rank[beta])
     return _apply_table(F, half, F.q + 2 * spec.ell, F.N)
 
 
@@ -451,8 +483,8 @@ class CoeffTensor:
         """Apply the Laplacian through the tensor; must equal box_apply."""
         if (H.n, H.N, H.q) != (self.spec.n, self.width, self.q):
             raise ValueError("form shape does not match the tensor")
-        table = [(I, tuple(x + y for x, y in zip(alpha, beta)), M, val)
-                 for (M, I, alpha, beta), val in self.entries.items()]
+        table = tuple((I, tuple(x + y for x, y in zip(alpha, beta)), M, val)
+                      for (M, I, alpha, beta), val in self.entries.items())
         return _apply_table(H, table, self.q, self.width,
                             overall=(-1) ** self.spec.k)
 

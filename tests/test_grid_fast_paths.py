@@ -12,11 +12,19 @@ sum out in numpy and checks it against the sample-domain norms it
 replaced.  Form subtraction works label by label and negates nothing;
 GridField a - b gives the bits of a + (-b).  What a grid form gives does
 not depend on whether its samples were read before.
+
+Every grid apply runs through one kernel, operators._grid_rows, which
+yields the output one label at a time in sorted label order; each row is
+checked against the plain loop over the table in order, and a corrupted
+table reaches the rows through the grouping cache.  hodge_solve and the
+grid T* hold no whole intermediate form: their traced memory peaks are
+bounded in label sizes.
 """
 
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,15 +38,19 @@ from divcurl.forms import (
     lp_norm,
     partial,
     pullback_linear,
+    sample_form,
 )
-from divcurl.gridfield import GridField, grid_points
+from divcurl.gridfield import GridField, _deriv_multiplier, grid_points
 from divcurl.inequalities import hodge_solve, scalar_symbol_array
 from divcurl.multiindex import labels
+from divcurl import operators as ops
 from divcurl.operators import (
     _apply,
     apply_T,
     apply_T_star,
+    apply_T_star_coordinate,
     box_apply,
+    box_coeff_tensor,
     invariance_defect,
     spec_for,
 )
@@ -417,3 +429,125 @@ def test_hodge_solve_negates_nothing_and_minus_is_plus_negative(monkeypatch):
         ref = _field(left, 1) + (-_field(right, 2))
         assert got.spectrum().tobytes() == ref.spectrum().tobytes(), (left, right)
         assert got.samples.tobytes() == ref.samples.tobytes(), (left, right)
+
+
+# ---- the grid row kernel ------------------------------------------------
+
+
+def _plain_grid_apply(F, entries, overall):
+    """The grid apply as one loop over the table in order, every output
+    label accumulated at once: {OUT: half spectrum}."""
+    acc = {}
+    for I, alpha, OUT, sign in entries:
+        c = F.coeffs.get(I)
+        if c is None:
+            continue
+        term = c.spectrum() * _deriv_multiplier(F.n, F.P, tuple(alpha))
+        factor = sign * overall
+        if factor != 1:
+            term *= factor
+        if OUT in acc:
+            acc[OUT] += term
+        else:
+            acc[OUT] = term
+    return acc
+
+
+def _kernel_tables(spec, q):
+    """(name, entries, overall) of T, the coordinate T* and the Laplacian
+    tensor contraction at degree q on the hybrid space."""
+    sign_k = (-1) ** spec.k
+    tables = [("T", ops._t_table(spec, q, spec.N), 1)]
+    if q >= spec.ell:
+        tables.append(("T*", ops._tstar_table(spec, q, spec.N), sign_k))
+    tensor = box_coeff_tensor(spec, q, False)
+    tables.append(("contract", tuple(
+        (I, tuple(x + y for x, y in zip(a, b)), M, v)
+        for (M, I, a, b), v in tensor.entries.items()), sign_k))
+    return tables
+
+
+def _spectra_bytes(F):
+    return {lab: c.spectrum().tobytes() for lab, c in F.coeffs.items()}
+
+
+@pytest.mark.parametrize("P", [16, 32])
+@pytest.mark.parametrize("n, k, ell", [(2, 2, 1), (3, 2, 1)])
+def test_grid_rows_equal_the_plain_table_loop_bitwise(n, k, ell, P):
+    """At every degree, on a form filled on every label and on one with
+    every other label dropped (so some output labels read nothing), the
+    rows come out in sorted label order, one per output label the plain
+    loop fills, each with its bytes."""
+    spec = spec_for(n, k, ell, "diagonal")
+    rng = np.random.default_rng(100 * n + P)
+    for q in range(spec.N + 1):
+        full = _noise(rng, spec.n, spec.N, q, P)
+        sparse = Form(spec.n, spec.N, q, dict(list(full.coeffs.items())[::2]),
+                      "grid", P)
+        for H in (full, sparse):
+            for name, entries, overall in _kernel_tables(spec, q):
+                rows = list(ops._grid_rows(H, entries, overall))
+                ref = _plain_grid_apply(H, entries, overall)
+                assert [lab for lab, _ in rows] == sorted(ref), (q, name)
+                for lab, sp in rows:
+                    assert sp.tobytes() == ref[lab].tobytes(), (q, name, lab)
+
+
+def _flip_first(table):
+    return tuple((I, a, L, -s if j == 0 else s)
+                 for j, (I, a, L, s) in enumerate(table))
+
+
+def test_grid_rows_see_a_table_corrupted_after_grouping(monkeypatch):
+    """The grouping is cached on the entries themselves: with the tables
+    grouped by earlier grid applies, a one-entry sign flip in _t_table
+    moves the grid T and the star-conjugate T*, and one in _tstar_table
+    the coordinate T*; each gives the plain loop over the corrupted
+    table."""
+    spec = spec_for(3, 2, 1, "diagonal")
+    H = _noise(np.random.default_rng(7), spec.n, spec.N, 2, 16)
+    healthy = [_spectra_bytes(f(spec, H))
+               for f in (apply_T, apply_T_star, apply_T_star_coordinate)]
+    real_t, real_tstar = ops._t_table, ops._tstar_table
+    monkeypatch.setattr(ops, "_t_table", lambda *key: _flip_first(real_t(*key)))
+    monkeypatch.setattr(ops, "_tstar_table",
+                        lambda *key: _flip_first(real_tstar(*key)))
+    got = [_spectra_bytes(f(spec, H))
+           for f in (apply_T, apply_T_star, apply_T_star_coordinate)]
+    assert all(g != h for g, h in zip(got, healthy))
+    ref = {lab: sp.tobytes() for lab, sp in _plain_grid_apply(
+        H, ops._t_table(spec, 2, spec.N), 1).items()}
+    assert got[0] == ref
+    ref = {lab: sp.tobytes() for lab, sp in _plain_grid_apply(
+        H, ops._tstar_table(spec, 2, spec.N), (-1) ** spec.k).items()}
+    assert got[2] == ref
+
+
+def _peak_in_labels(call, P):
+    """The tracemalloc peak of call() with cold table and multiplier
+    caches, in half spectra of a P^3 grid (P * P * (P/2 + 1) * 16 bytes)."""
+    for cache in (ops._t_table, ops._tstar_table, ops._by_output,
+                  _deriv_multiplier):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (P * P * (P // 2 + 1) * 16)
+
+
+def test_hodge_solve_and_grid_T_star_hold_no_whole_intermediate_form():
+    """On (3, 2, 1, diagonal) at q = 2, P = 32: hodge_solve once held
+    T F, T* F, T G, their sum, Z, T Z and T* Z whole (about 71 labels at
+    its peak), and the grid T* held T(star H), its star and their scaled
+    copy (about 39).  Streaming the rows leaves Z or the result, the data,
+    the six cold multipliers and a few rows: about 29 and 24."""
+    spec = spec_for(3, 2, 1, "diagonal")
+    P = 32
+    rng = random.Random(0)
+    F = sample_form(apply_T(spec, random_trig_form(rng, 3, 6, 2)), P)
+    G = sample_form(apply_T_star(spec, random_trig_form(rng, 3, 6, 2)), P)
+    assert _peak_in_labels(lambda: hodge_solve(spec, 2, F=F, G=G), P) <= 40
+    assert _peak_in_labels(lambda: apply_T_star(spec, F), P) <= 30
