@@ -313,13 +313,15 @@ def _l2_lp(comps, p) -> float:
 
 def _l2_half_spectra(rows, n, P) -> float:
     """L2 norm of the pointwise little-l2 magnitude of a P^n grid form
-    given as (label, rfftn half spectrum) rows in sorted label order, by
-    Parseval: mean(f^2) = P^(-2n) sum w |S|^2, w being 1 on the last
+    given as (label, GridField) rows in sorted label order (a form's
+    coefficients, or operators._rows), by Parseval over the held half
+    spectra S: mean(f^2) = P^(-2n) sum w |S|^2, w being 1 on the last
     axis's columns 0 and P/2 and 2 on every other column.  Rows are summed
     as they come, from elementwise squares and np.sum only (no BLAS), so
     the bits do not depend on numpy's SIMD dispatch."""
     total = 0.0
-    for _, sp in rows:
+    for _, c in rows:
+        sp = c.spectrum()
         sq = sp.real * sp.real + sp.imag * sp.imag
         total += (2.0 * np.sum(sq[..., 1:-1]) + np.sum(sq[..., 0])
                   + np.sum(sq[..., -1]))
@@ -338,8 +340,7 @@ def lp_norm(F: Form, p) -> float:
     if p < 1:
         raise ValueError("p must be >= 1")
     if p == 2 and F.backend == "grid":
-        return _l2_half_spectra(((lab, c.spectrum()) for lab, c
-                                 in sorted(F.coeffs.items())), F.n, F.P)
+        return _l2_half_spectra(sorted(F.coeffs.items()), F.n, F.P)
     return _l2_lp(_samples(F), p)
 
 

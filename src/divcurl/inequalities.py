@@ -22,14 +22,11 @@ from the discrete closed/coclosed subspaces.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 import sys
 from dataclasses import dataclass
-from functools import reduce
-from itertools import groupby
-from operator import add, itemgetter, sub
+from operator import add, sub
 
 import numpy as np
 
@@ -46,7 +43,7 @@ from .forms import (
 )
 from .gridfield import GridField, _check_P, _deriv_multiplier, int_freqs
 from .multiindex import labels, multiindices
-from .operators import OperatorSpec, _apply, _grid_rows, _table, spec_for
+from .operators import OperatorSpec, _apply, _merged, _rows, _table, spec_for
 
 __all__ = [
     "BumpSpec",
@@ -281,14 +278,6 @@ def _check_spectral(spec: OperatorSpec):
         raise ValueError("spectral inversion implemented for ell = 1")
 
 
-def _merged(combine, streams):
-    """Row streams in sorted label order merged label by label, a label's
-    rows combined in stream order; about one row per stream is held."""
-    rows = heapq.merge(*streams, key=itemgetter(0))
-    for lab, group in groupby(rows, key=itemgetter(0)):
-        yield lab, reduce(combine, (sp for _, sp in group))
-
-
 def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple:
     """Solve box Z = T* F + T G for the degree-q potential Z (ell = 1).
 
@@ -299,12 +288,13 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
     sampled data are exactly closed/coclosed on the grid and otherwise
     measure their sampling defect.
 
-    Every step reads the data's held half spectra, so the solve makes no
-    FFT call, and besides Z and the data holds a few output labels at a
-    time, never a whole intermediate form: the closedness norms and the
-    residuals are Parseval sums over the rows (operators._grid_rows) of
-    T X and T Z - X, each mean is a coefficient 0, and each label of
-    T* F + T G is divided into Z as it arrives.
+    Every datum is checked (backend, shape, grid) before any work.  Every
+    step reads the rows (operators._rows) of applies to the data and to Z,
+    so the solve makes no FFT call, and besides Z and the data holds a few
+    output labels at a time, never a whole intermediate form: the
+    closedness norms and the residuals are Parseval sums over the rows of
+    T X and of T Z - X, each mean is a coefficient 0, and each label of
+    T* F + T G is divided by the symbol into Z as it arrives.
     """
     _check_spectral(spec)
     # (datum, name, adjoint): F is checked and reconstructed through T and
@@ -313,19 +303,23 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
             in ((F, "F", False), (G, "G", True)) if X is not None]
     if not data:
         raise ValueError("need at least one datum")
-    if data[0][0].backend != "grid":
+    if any(X.backend != "grid" for X, _, _ in data):
         raise ValueError("hodge_solve works on the grid backend")
-    P = data[0][0].P
     n, N = spec.n, spec.N
+    for X, name, adjoint in data:
+        step = -1 if adjoint else 1
+        if (X.n, X.N, X.q) != (n, N, q + step):
+            raise ValueError(f"{name} must be a hybrid (q{step:+d})-form")
+    if len(data) == 2 and G.P != F.P:
+        raise ValueError(f"G is on the P = {G.P} grid, F on P = {F.P}")
+    P = data[0][0].P
 
     info = {}
     for X, name, adjoint in data:
-        step, co = (-1, "co") if adjoint else (1, "")
-        if (X.n, X.N, X.q) != (n, N, q + step):
-            raise ValueError(f"{name} must be a hybrid (q{step:+d})-form")
+        co = "co" if adjoint else ""
         scale = max(lp_norm(X, 2), 1e-30)
         key = f"{co}closedness_{name}"
-        info[key] = _l2_half_spectra(_grid_rows(X, *_table(spec, X, adjoint)),
+        info[key] = _l2_half_spectra(_rows(X, *_table(spec, X, adjoint)),
                                      n, P) / scale
         if info[key] > closed_tol:
             raise ValueError(f"{name} is not {co}closed to the requested tolerance")
@@ -340,17 +334,18 @@ def hodge_solve(spec: OperatorSpec, q, F=None, G=None, closed_tol=1e-6) -> tuple
     sig = scalar_symbol_array(spec, P)
     mask = sig > 0
     coeffs = {}
-    for lab, spectrum in _merged(add, [_grid_rows(X, *_table(spec, X, not adjoint))
-                                       for X, _, adjoint in data]):
-        out = np.divide(spectrum, sig, out=np.zeros_like(spectrum), where=mask)
-        coeffs[lab] = GridField.from_spectrum(n, P, out)
+    for lab, c in _merged(add, [_rows(X, *_table(spec, X, not adjoint))
+                                for X, _, adjoint in data]):
+        sp = c.spectrum()
+        coeffs[lab] = GridField.from_spectrum(
+            n, P, np.divide(sp, sig, out=np.zeros_like(sp), where=mask))
     Z = Form(n, N, q, coeffs, "grid", P)
 
     # T Z - X by label; a label of X alone enters as X_I: |0 - X_I| = |X_I|
     for X, _, adjoint in data:
-        held = ((lab, c.spectrum()) for lab, c in sorted(X.coeffs.items()))
         info["residual_Tstar" if adjoint else "residual_T"] = _l2_half_spectra(
-            _merged(sub, [_grid_rows(Z, *_table(spec, Z, adjoint)), held]), n, P)
+            _merged(sub, [_rows(Z, *_table(spec, Z, adjoint)),
+                          sorted(X.coeffs.items())]), n, P)
     return Z, info
 
 

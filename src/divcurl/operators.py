@@ -34,18 +34,15 @@ width from _tensor_width, the one raise for a trivial source operator
 
 Every action runs through one table path: _table picks the raising
 table _t_table or the coordinate-adjoint table _tstar_table over labels
-in {1..F.N}, _apply holds the single degree guard, and _apply_table
-evaluates the (I, alpha, OUT, sign) entries on either backend.  apply_T,
-apply_T_star_coordinate, box_apply, CoeffTensor.contract and
-tt_single_orientation all end there.  The tables are keyed by the label
-width, so when N == n the two spaces share them.  On exact forms
-_apply_table runs on integer numerators over one common denominator and
-builds one Fraction per output term; apply_T_star compares its two
-routes with Form ==, which is exact.  The grid has one kernel,
-_grid_rows: it yields the output by output label, in sorted order, from
-the table grouped once by output label (_by_output).  A grid
-_apply_table is the dict of its rows; hodge_solve and the grid
-star-conjugate T* read the rows as they come.
+in {1..F.N}, _apply holds the single degree guard, and one kernel, _rows,
+evaluates the (I, alpha, OUT, sign) entries on either backend, grouping
+them by output label on each call and yielding the output one label at a
+time in sorted order.  _apply_table is the form of the rows (apply_T,
+apply_T_star_coordinate, CoeffTensor.contract and tt_single_orientation
+end there); the star-conjugate T*, box_apply and
+inequalities.hodge_solve read the rows as they come.  The tables are
+keyed by the label width, so when N == n the two spaces share them.
+apply_T_star compares its two exact routes with Form ==, which is exact.
 
 _t_table is the only enumeration of the raising coupling: the summation
 tensor, the real T o T (_tt_table) and the scalar dictionary (vs_reduction
@@ -78,12 +75,14 @@ packed int keys and turns only the nonzero sums into tuple keys.
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import groupby
-from operator import itemgetter
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -230,79 +229,77 @@ def _tstar_table(spec: OperatorSpec, q: int, width: int):
                  for beta, b, mb in pairs if not mV & mb)
 
 
-def _apply_table(F: Form, entries, out_q: int, width: int, overall=1) -> Form:
-    """Evaluate sum sign * overall * d^alpha F_I on each output label of a
-    table of (I, alpha, OUT, sign) entries.
+def _rows(F: Form, entries, overall=1):
+    """Yield (OUT, coefficient) of a table of (I, alpha, OUT, sign) entries
+    on F, one output label at a time in sorted label order: the sum of
+    sign * overall * d^alpha F_I over OUT's entries, in table order.
 
-    Exact forms run on integer numerators over the lcm D of F's
+    Each call groups the entries that read a label of F by output label,
+    so a label that reads none is not yielded and no grouping outlives the
+    call.  An exact row sums integer numerators over the lcm D of F's
     coefficient denominators: each entry adds sign * overall * (quarter
-    turn sign) * w^alpha * numerator into one int sum per (OUT, freq,
-    phase), a sum that reaches 0 is deleted (so the terms keep the order
-    a merge per entry gives them), and each surviving sum becomes one
-    Fraction over D at the end.
+    turn sign) * w^alpha * numerator into one int sum per (freq, phase),
+    a sum that reaches 0 is deleted (so the terms keep the order a merge
+    per entry gives them), and each surviving sum becomes one Fraction
+    over D.  A grid row is one GridField, its terms fresh half spectra
+    scaled and added in place.
     """
+    coeffs, n, P = F.coeffs, F.n, F.P
+    live = defaultdict(list)
+    for entry in entries:
+        if entry[0] in coeffs:
+            live[entry[2]].append(entry)
     if F.backend == "grid":
-        rows = _grid_rows(F, entries, overall)
-        return Form(F.n, width, out_q, {OUT: GridField.from_spectrum(F.n, F.P, sp)
-                                        for OUT, sp in rows}, "grid", F.P)
-    n = F.n
-    D = math.lcm(*(c.denominator for poly in F.coeffs.values()
-                   for c in poly.terms.values()))
-    numerators = {I: [(freq, phase, c.numerator * (D // c.denominator))
-                      for (freq, phase), c in poly.terms.items()]
-                  for I, poly in F.coeffs.items()}
-    acc = {}
-    for I, alpha, OUT, sign in entries:
-        terms = numerators.get(I)
-        if terms is None:
-            continue
-        powers, flip, turn = _quarter_turns(alpha, n)
-        factor = sign * overall
-        by_phase = (factor * turn[0], factor * turn[1])
-        out = acc.get(OUT)
-        if out is None:
-            out = acc[OUT] = {}
-        for freq, phase, v in terms:
-            mono = by_phase[phase] * v
-            for axis, order in powers:
-                mono *= freq[axis] ** order
-            if mono:
-                key = (freq, phase ^ flip)
-                total = out.get(key, 0) + mono
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
-    return Form(n, width, out_q,
-                {OUT: TrigPoly._canonical(n, {key: Fraction(v, D)
-                                               for key, v in out.items()})
-                 for OUT, out in acc.items()}, backend="trig")
-
-
-@lru_cache(maxsize=None)
-def _by_output(entries: tuple) -> tuple:
-    """(OUT, entries of OUT) rows of a table, OUT sorted, each row in table
-    order; keyed on the entries, so a new or corrupted table is regrouped."""
-    return tuple((OUT, tuple(row)) for OUT, row in
-                 groupby(sorted(entries, key=itemgetter(2)), itemgetter(2)))
-
-
-def _grid_rows(F: Form, entries: tuple, overall=1):
-    """Yield (OUT, half spectrum) of a table on the grid form F, one output
-    label at a time in sorted order: sign * overall * d^alpha F_I summed
-    over OUT's entries in table order, each term a fresh array scaled and
-    added in place.  A label that reads no label of F is skipped."""
-    n, P = F.n, F.P
-    for OUT, row in _by_output(entries):
-        acc = None
-        for I, alpha, _, sign in row:
-            if I in F.coeffs:
-                term = F.coeffs[I].spectrum() * _deriv_multiplier(n, P, alpha)
+        def row(part):
+            acc = None
+            for I, alpha, _, sign in part:
+                term = coeffs[I].spectrum() * _deriv_multiplier(n, P, alpha)
                 if sign * overall != 1:
                     term *= sign * overall
                 acc = term if acc is None else np.add(acc, term, out=acc)
-        if acc is not None:
-            yield OUT, acc
+            return GridField.from_spectrum(n, P, acc)
+    else:
+        D = math.lcm(*(c.denominator for poly in coeffs.values()
+                       for c in poly.terms.values()))
+        numerators = {I: [(freq, phase, c.numerator * (D // c.denominator))
+                          for (freq, phase), c in poly.terms.items()]
+                      for I, poly in coeffs.items()}
+
+        def row(part):
+            out = {}
+            for I, alpha, _, sign in part:
+                powers, flip, turn = _quarter_turns(alpha, n)
+                factor = sign * overall
+                by_phase = (factor * turn[0], factor * turn[1])
+                for freq, phase, v in numerators[I]:
+                    mono = by_phase[phase] * v
+                    for axis, order in powers:
+                        mono *= freq[axis] ** order
+                    if mono:
+                        key = (freq, phase ^ flip)
+                        total = out.get(key, 0) + mono
+                        if total:
+                            out[key] = total
+                        else:
+                            del out[key]
+            return TrigPoly._canonical(n, {key: Fraction(v, D)
+                                           for key, v in out.items()})
+    for OUT in sorted(live):
+        yield OUT, row(live[OUT])
+
+
+def _apply_table(F: Form, entries, out_q: int, width: int, overall=1) -> Form:
+    """The form of a table's rows on F (_rows)."""
+    return Form(F.n, width, out_q, dict(_rows(F, entries, overall)),
+                F.backend, F.P)
+
+
+def _merged(combine, streams):
+    """Row streams in sorted label order merged label by label, a label's
+    rows combined in stream order; about one row per stream is held."""
+    rows = heapq.merge(*streams, key=itemgetter(0))
+    for lab, group in groupby(rows, key=itemgetter(0)):
+        yield lab, reduce(combine, (c for _, c in group))
 
 
 def _table(spec: OperatorSpec, F: Form, adjoint: bool) -> tuple:
@@ -358,23 +355,21 @@ def apply_T_star_coordinate(spec: OperatorSpec, H: Form) -> Form:
 
 
 def _star_conjugate(spec, H) -> Form:
-    """(-1)^(k + q(H.N - ell - q)) star T star H, q the output degree.  On
-    the grid each row of T(star H) is multiplied in place by its star sign,
-    then the overall sign (as hodge_star and scale do), and lands on its
-    complement label, so T(star H) is never held whole."""
+    """(-1)^(k + q(H.N - ell - q)) star T star H, q the output degree.
+    Each row of T(star H) is scaled by its star sign where that is not 1,
+    then by the overall sign (the two multiplies hodge_star and scale
+    make), and lands on its complement label, so T(star H) is never held
+    whole."""
     q_out = H.q - spec.ell
     sign = (-1) ** (spec.k + q_out * (H.N - spec.ell - q_out))
     mid = hodge_star(H)
-    if H.backend == "trig":
-        return hodge_star(_apply(spec, mid, adjoint=False)).scale(sign)
     coeffs = {}
-    for lab, sp in _grid_rows(mid, *_table(spec, mid, adjoint=False)):
+    for lab, c in _rows(mid, *_table(spec, mid, adjoint=False)):
         comp, s = _star_label(lab, H.N)
         if s != 1:
-            sp *= float(s)
-        sp *= float(sign)
-        coeffs[comp] = GridField.from_spectrum(H.n, H.P, sp)
-    return Form(H.n, H.N, q_out, coeffs, "grid", H.P)
+            c = c.scale(s)
+        coeffs[comp] = c.scale(sign)
+    return Form(H.n, H.N, q_out, coeffs, H.backend, H.P)
 
 
 def apply_T_star(spec: OperatorSpec, H: Form) -> Form:
@@ -441,18 +436,17 @@ def tt_single_orientation(spec: OperatorSpec, F: Form) -> Form:
 
 def box_apply(spec: OperatorSpec, H: Form) -> Form:
     """Hodge Laplacian T T* + T* T on H's space; a part whose intermediate
-    degree does not exist contributes zero.  On the grid it makes no FFT
-    call: T* H and T H both read H's held half spectra."""
+    degree does not exist contributes zero.  The outer applies are read as
+    rows and the two parts summed label by label (_merged), T T* H first,
+    so neither part is held whole; on the grid it makes no FFT call."""
     _check_space(spec, H)
-    down, up = H.q >= spec.ell, H.q + spec.ell <= H.N
-    if not (down or up):
-        return zero_form(H.n, H.N, H.q, H.backend, H.P)
-    parts = []
-    if down:
-        parts.append(_apply(spec, _apply(spec, H, adjoint=True), adjoint=False))
-    if up:
-        parts.append(_apply(spec, _apply(spec, H, adjoint=False), adjoint=True))
-    return sum(parts[1:], parts[0])
+    streams = []
+    for adjoint, exists in ((True, H.q >= spec.ell),
+                            (False, H.q + spec.ell <= H.N)):
+        if exists:
+            mid = _apply(spec, H, adjoint)
+            streams.append(_rows(mid, *_table(spec, mid, not adjoint)))
+    return Form(H.n, H.N, H.q, dict(_merged(add, streams)), H.backend, H.P)
 
 
 # ---- the Laplacian coefficient tensor ---------------------------------------

@@ -13,12 +13,14 @@ replaced.  Form subtraction works label by label and negates nothing;
 GridField a - b gives the bits of a + (-b).  What a grid form gives does
 not depend on whether its samples were read before.
 
-Every grid apply runs through one kernel, operators._grid_rows, which
+Every apply, exact or grid, runs through one kernel, operators._rows,
+which groups the table's live entries by output label on each call and
 yields the output one label at a time in sorted label order; each row is
-checked against the plain loop over the table in order, and a corrupted
-table reaches the rows through the grouping cache.  hodge_solve and the
-grid T* hold no whole intermediate form: their traced memory peaks are
-bounded in label sizes.
+checked against the plain loop over the table in order (bitwise on the
+grid, term by term on exact forms), and a table corrupted after earlier
+applies reaches the rows.  hodge_solve, the grid T* and box_apply hold
+no whole intermediate form: their traced memory peaks are bounded in
+label sizes.
 """
 
 import itertools
@@ -54,7 +56,7 @@ from divcurl.operators import (
     invariance_defect,
     spec_for,
 )
-from divcurl.randoms import random_trig_form
+from divcurl.randoms import random_trig_form, random_trigpoly
 
 SPEC = spec_for(2, 2, 1, "diagonal")     # N = 3
 
@@ -431,7 +433,7 @@ def test_hodge_solve_negates_nothing_and_minus_is_plus_negative(monkeypatch):
         assert got.samples.tobytes() == ref.samples.tobytes(), (left, right)
 
 
-# ---- the grid row kernel ------------------------------------------------
+# ---- the row kernel -----------------------------------------------------
 
 
 def _plain_grid_apply(F, entries, overall):
@@ -453,6 +455,19 @@ def _plain_grid_apply(F, entries, overall):
     return acc
 
 
+def _plain_exact_apply(F, entries, overall):
+    """The exact apply as one loop over the table in order, one diff_alpha
+    and one merge per entry: {OUT: TrigPoly}."""
+    acc = {}
+    for I, alpha, OUT, sign in entries:
+        c = F.coeffs.get(I)
+        if c is None:
+            continue
+        term = c.diff_alpha(alpha).scale(sign * overall)
+        acc[OUT] = acc[OUT] + term if OUT in acc else term
+    return acc
+
+
 def _kernel_tables(spec, q):
     """(name, entries, overall) of T, the coordinate T* and the Laplacian
     tensor contraction at degree q on the hybrid space."""
@@ -471,26 +486,38 @@ def _spectra_bytes(F):
     return {lab: c.spectrum().tobytes() for lab, c in F.coeffs.items()}
 
 
-@pytest.mark.parametrize("P", [16, 32])
+@pytest.mark.parametrize("P", [16, 32, pytest.param(None, id="exact")])
 @pytest.mark.parametrize("n, k, ell", [(2, 2, 1), (3, 2, 1)])
 def test_grid_rows_equal_the_plain_table_loop_bitwise(n, k, ell, P):
     """At every degree, on a form filled on every label and on one with
     every other label dropped (so some output labels read nothing), the
     rows come out in sorted label order, one per output label the plain
-    loop fills, each with its bytes."""
+    loop fills: on the grid (noise at P) each with its bytes, on exact
+    forms (P None) each with its terms, values and term order."""
     spec = spec_for(n, k, ell, "diagonal")
-    rng = np.random.default_rng(100 * n + P)
+    rng = np.random.default_rng(100 * n + (P or 0))
+    exact = random.Random(n)
     for q in range(spec.N + 1):
-        full = _noise(rng, spec.n, spec.N, q, P)
+        if P is None:
+            full = Form(spec.n, spec.N, q, {
+                lab: random_trigpoly(exact, spec.n) for lab in labels(spec.N, q)})
+        else:
+            full = _noise(rng, spec.n, spec.N, q, P)
         sparse = Form(spec.n, spec.N, q, dict(list(full.coeffs.items())[::2]),
-                      "grid", P)
+                      full.backend, P)
         for H in (full, sparse):
             for name, entries, overall in _kernel_tables(spec, q):
-                rows = list(ops._grid_rows(H, entries, overall))
-                ref = _plain_grid_apply(H, entries, overall)
+                rows = list(ops._rows(H, entries, overall))
+                if P is None:
+                    ref = _plain_exact_apply(H, entries, overall)
+                    got = {lab: list(c.terms.items()) for lab, c in rows}
+                    want = {lab: list(c.terms.items()) for lab, c in ref.items()}
+                else:
+                    ref = _plain_grid_apply(H, entries, overall)
+                    got = {lab: c.spectrum().tobytes() for lab, c in rows}
+                    want = {lab: sp.tobytes() for lab, sp in ref.items()}
                 assert [lab for lab, _ in rows] == sorted(ref), (q, name)
-                for lab, sp in rows:
-                    assert sp.tobytes() == ref[lab].tobytes(), (q, name, lab)
+                assert got == want, (q, name)
 
 
 def _flip_first(table):
@@ -499,8 +526,8 @@ def _flip_first(table):
 
 
 def test_grid_rows_see_a_table_corrupted_after_grouping(monkeypatch):
-    """The grouping is cached on the entries themselves: with the tables
-    grouped by earlier grid applies, a one-entry sign flip in _t_table
+    """The grouping is made on each call: with the tables built and read
+    by earlier grid applies, a one-entry sign flip in _t_table
     moves the grid T and the star-conjugate T*, and one in _tstar_table
     the coordinate T*; each gives the plain loop over the corrupted
     table."""
@@ -526,8 +553,7 @@ def test_grid_rows_see_a_table_corrupted_after_grouping(monkeypatch):
 def _peak_in_labels(call, P):
     """The tracemalloc peak of call() with cold table and multiplier
     caches, in half spectra of a P^3 grid (P * P * (P/2 + 1) * 16 bytes)."""
-    for cache in (ops._t_table, ops._tstar_table, ops._by_output,
-                  _deriv_multiplier):
+    for cache in (ops._t_table, ops._tstar_table, _deriv_multiplier):
         cache.cache_clear()
     tracemalloc.start()
     try:
@@ -538,16 +564,34 @@ def _peak_in_labels(call, P):
     return peak / (P * P * (P // 2 + 1) * 16)
 
 
+def _closed_and_coclosed(spec, P):
+    """On (3, 2, 1, diagonal): a sampled closed 3-form F = T phi and a
+    coclosed 1-form G = T* psi, phi and psi random exact 2-forms."""
+    rng = random.Random(0)
+    F = sample_form(apply_T(spec, random_trig_form(rng, 3, 6, 2)), P)
+    G = sample_form(apply_T_star(spec, random_trig_form(rng, 3, 6, 2)), P)
+    return F, G
+
+
 def test_hodge_solve_and_grid_T_star_hold_no_whole_intermediate_form():
     """On (3, 2, 1, diagonal) at q = 2, P = 32: hodge_solve once held
     T F, T* F, T G, their sum, Z, T Z and T* Z whole (about 71 labels at
     its peak), and the grid T* held T(star H), its star and their scaled
     copy (about 39).  Streaming the rows leaves Z or the result, the data,
-    the six cold multipliers and a few rows: about 29 and 24."""
+    the six cold multipliers and a few rows: about 29 and 25."""
     spec = spec_for(3, 2, 1, "diagonal")
     P = 32
-    rng = random.Random(0)
-    F = sample_form(apply_T(spec, random_trig_form(rng, 3, 6, 2)), P)
-    G = sample_form(apply_T_star(spec, random_trig_form(rng, 3, 6, 2)), P)
+    F, G = _closed_and_coclosed(spec, P)
     assert _peak_in_labels(lambda: hodge_solve(spec, 2, F=F, G=G), P) <= 40
     assert _peak_in_labels(lambda: apply_T_star(spec, F), P) <= 30
+
+
+def test_grid_box_apply_holds_neither_part_whole():
+    """box_apply of the degree-3 F above once held T T* F and T* T F whole
+    beside their sum (about 67 labels at its peak); summing the outer
+    applies' rows label by label leaves the two intermediates T* F and
+    T F, the result and a few rows: about 56."""
+    spec = spec_for(3, 2, 1, "diagonal")
+    P = 32
+    F, _ = _closed_and_coclosed(spec, P)
+    assert _peak_in_labels(lambda: box_apply(spec, F), P) <= 60

@@ -27,6 +27,7 @@ from divcurl.multiindex import complement, multiindices, random_ordering
 from divcurl.operators import (
     OperatorSpec,
     apply_T,
+    apply_T_star,
     divergence_defect,
     spec_for,
     vs_lift,
@@ -148,8 +149,8 @@ def test_hodge_solve_grid_exact_both_parities():
 
 
 def test_hodge_solve_rejects_bad_data():
-    """Each bad datum, on the F side and on the G side, raises its own
-    message."""
+    """Each bad datum, on the F side and on the G side, alone or beside a
+    good one, raises its own message before any work."""
     rng = random.Random(12)
     spec = spec_for(2, 1, 1)
     junk, _ = random_bump_form(rng, 2, 2, 1, 32, components=2)
@@ -157,6 +158,11 @@ def test_hodge_solve_rejects_bad_data():
     const = Form(2, 2, 1, {(1,): GridField(2, 32, np.ones((32, 32)))},
                  backend="grid")
     exact = random_trig_form(rng, 2, 2, 1)
+    # good data for q = 1 to set beside a bad one: F = T phi at P = 16
+    # and 32, G = T* psi at P = 32
+    phi16, _ = random_bump_form(rng, 2, 2, 1, 16, components=2)
+    top16, top32 = apply_T(spec, phi16), apply_T(spec, junk)
+    scalar32 = apply_T_star(spec, junk)
     cases = [
         (spec, 0, {"F": junk}, "F is not closed to the requested tolerance"),
         (spec, 0, {"F": const}, "F must be mean free"),
@@ -166,6 +172,12 @@ def test_hodge_solve_rejects_bad_data():
         (spec, 0, {"G": junk}, "G must be a hybrid (q-1)-form"),
         (spec, 0, {"F": exact}, "hodge_solve works on the grid backend"),
         (spec, 2, {"G": exact}, "hodge_solve works on the grid backend"),
+        (spec, 1, {"F": top32, "G": random_trig_form(rng, 2, 2, 0)},
+         "hodge_solve works on the grid backend"),
+        (spec, 1, {"F": random_trig_form(rng, 2, 2, 2), "G": scalar32},
+         "hodge_solve works on the grid backend"),
+        (spec, 1, {"F": top16, "G": scalar32},
+         "G is on the P = 32 grid, F on P = 16"),
         (spec, 0, {}, "need at least one datum"),
         (spec_for(2, 2, 2), 0, {"F": junk},
          "spectral inversion implemented for ell = 1"),
